@@ -31,13 +31,13 @@ from .correlation import CorrelationConfig, Message
 from .deployment import (
     Connection, INPUT_KINDS, Interface, InputPort, InputPortListener,
     LocalLocation, Location, OperationDecl, OutputPort, OutputPortRuntime,
-    ReplyHandle, SocketLocation, parse_location, serve_input_port,
+    ReplyHandle, SocketLocation, parse_location, serve_frames,
 )
 from .engine import CONCURRENT, Engine, SEQUENTIAL
 from .errors import (
-    DecodeError, Fault, InterfaceClash, NAME_CLASH_FAULT, NameClash,
-    PROTOCOL_FAULT, StartupError, UNKNOWN_OPERATION, UNKNOWN_RESOURCE,
-    UNKNOWN_SERVICE_FAULT, UnknownService, ValidationError,
+    Fault, InterfaceClash, NAME_CLASH_FAULT, NameClash, StartupError,
+    UNKNOWN_OPERATION, UNKNOWN_RESOURCE, UNKNOWN_SERVICE_FAULT, UnknownService,
+    ValidationError,
 )
 from .state import State
 from .transport import LocalRegistry, TcpListener, connect_socket
@@ -393,7 +393,7 @@ class Container:
         try:
             # listeners first: a firing session must not race its own ports
             for port in definition.input_ports:
-                listeners.append(serve_input_port(port, engine.submit, self.bind, Message))
+                listeners.append(InputPortListener(port, engine.submit, self.bind, Message))
             engine.start()
         except Exception:
             for listener in listeners:
@@ -462,7 +462,7 @@ class Container:
         if self._gateway_listener is not None:
             raise StartupError("gateway already served")
         loc = parse_location(location) if isinstance(location, str) else location
-        self._gateway_listener = self.bind(loc, self._on_gateway_channel)
+        self._gateway_listener = self.bind(loc, serve_frames(self.dispatch_gateway_frame))
         bound_port = getattr(self._gateway_listener, "port", None)
         if isinstance(loc, SocketLocation) and bound_port is not None:
             loc = SocketLocation(loc.host, bound_port)
@@ -471,29 +471,6 @@ class Container:
     @property
     def gateway_location(self) -> Location | None:
         return getattr(self, "_gateway_loc", None)
-
-    def _on_gateway_channel(self, channel) -> None:
-        threading.Thread(target=self._gateway_serve, args=(channel,), daemon=True).start()
-
-    def _gateway_serve(self, channel) -> None:
-        handle = ReplyHandle(channel)
-        while True:
-            try:
-                line = channel.recv_line()
-            except OSError:
-                return
-            if line is None:
-                return
-            if not line.strip():
-                continue
-            try:
-                frame = frames.decode_frame(line)
-                if frame.type != frames.REQUEST:
-                    raise DecodeError("gateway expects request frames")
-            except DecodeError:
-                handle.send_fault(frames.salvage_request_id(line), "", PROTOCOL_FAULT)
-                continue
-            self.dispatch_gateway_frame(frame, handle)
 
     def dispatch_gateway_frame(self, frame: frames.Frame, handle: ReplyHandle) -> None:
         """Route one gateway frame by resource name, else by aggregation."""
@@ -524,29 +501,8 @@ class Container:
 
     def serve_control(self) -> None:
         if self._control_listener is None:
-            self.registry.bind(CONTROL_LOCATION, self._on_control_channel)
-            self._control_listener = CONTROL_LOCATION
-
-    def _on_control_channel(self, channel) -> None:
-        threading.Thread(target=self._control_serve, args=(channel,), daemon=True).start()
-
-    def _control_serve(self, channel) -> None:
-        handle = ReplyHandle(channel)
-        while True:
-            try:
-                line = channel.recv_line()
-            except OSError:
-                return
-            if line is None:
-                return
-            try:
-                frame = frames.decode_frame(line)
-                if frame.type != frames.REQUEST:
-                    raise DecodeError("control expects request frames")
-            except DecodeError:
-                handle.send_fault(frames.salvage_request_id(line), "", PROTOCOL_FAULT)
-                continue
-            self._control_request(frame, handle)
+            self._control_listener = self.bind(LocalLocation(CONTROL_LOCATION),
+                                               serve_frames(self._control_request))
 
     def _control_request(self, frame: frames.Frame, handle: ReplyHandle) -> None:
         payload = frame.payload
@@ -584,10 +540,9 @@ class Container:
         if self._stopped:
             return
         self._stopped = True
-        if self._gateway_listener is not None:
-            self._gateway_listener.close()
-        if self._control_listener is not None:
-            self.registry.unbind(CONTROL_LOCATION)
+        for listener in (self._gateway_listener, self._control_listener):
+            if listener is not None:
+                listener.close()
         self._relay.close()
         for running in list(self.services.values()):
             running.stop()

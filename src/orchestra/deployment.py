@@ -63,16 +63,6 @@ class MessageType:
     def to_json_obj(self) -> dict:
         return dict(self.fields)
 
-    def conforms(self, payload: State) -> bool:
-        for name, tag in self.fields:
-            if tag == "any":
-                continue
-            if name not in payload:
-                return False
-            if value_kind(payload.lookup(name)) != tag:
-                return False
-        return True
-
     def check(self, payload: State, where: str) -> None:
         for name, tag in self.fields:
             if tag == "any":
@@ -236,18 +226,14 @@ Binder = Callable[[Location, Callable], object]
 class Connection:
     """One channel multiplexing many calls, matched by frame id."""
 
-    def __init__(self, channel, on_unmatched: Callable[[Frame], None] | None = None):
+    def __init__(self, channel):
         self.channel = channel
         self._ids = itertools.count(1)
         self._lock = threading.Lock()
         self._waiters: dict[str, Callable[[CallResult], None]] = {}
         self.dead = False
-        self._on_unmatched = on_unmatched
         self._reader = threading.Thread(target=self._read_loop, daemon=True)
         self._reader.start()
-
-    def next_id(self) -> str:
-        return str(next(self._ids))
 
     def send_request(
         self,
@@ -259,7 +245,7 @@ class Connection:
         with self._lock:
             if self.dead:
                 raise Fault(IO_FAULT, "connection closed")
-            frame_id = self.next_id()
+            frame_id = str(next(self._ids))
             if on_result is not None:
                 self._waiters[frame_id] = on_result
         try:
@@ -287,8 +273,6 @@ class Connection:
             with self._lock:
                 waiter = self._waiters.pop(frame.id, None)
             if waiter is None:
-                if self._on_unmatched is not None:
-                    self._on_unmatched(frame)
                 continue
             if frame.type == frames.RESPONSE:
                 waiter(CallResult(payload=frame.payload))
@@ -306,6 +290,22 @@ class Connection:
 
     def close(self) -> None:
         self.channel.close()
+
+
+def sync_request(conn: Connection, op: str, payload: State, resource: str = "",
+                 timeout: float | None = 10.0) -> CallResult:
+    """One blocking call over an existing connection; resource set per call."""
+    done = threading.Event()
+    slot: list[CallResult] = []
+
+    def on_result(result: CallResult) -> None:
+        slot.append(result)
+        done.set()
+
+    conn.send_request(op, payload, resource, on_result)
+    if not done.wait(timeout):
+        raise Fault(IO_FAULT, f"no response to {op!r} within {timeout}s")
+    return slot[0]
 
 
 class OutputPortRuntime:
@@ -349,17 +349,9 @@ class OutputPortRuntime:
 
     def solicit(self, op: str, payload: State, timeout: float | None = 10.0) -> State:
         """Blocking solicit; re-raises a remote fault under its own name."""
-        done = threading.Event()
-        slot: list[CallResult] = []
-
-        def on_result(result: CallResult) -> None:
-            slot.append(result)
-            done.set()
-
-        self.solicit_begin(op, payload, on_result)
-        if not done.wait(timeout):
-            raise Fault(IO_FAULT, f"no response to {op!r} within {timeout}s")
-        result = slot[0]
+        decl = self._decl(op, SOLICIT_RESPONSE)
+        decl.request.check(payload, f"solicit {op}")
+        result = sync_request(self._connection(), op, payload, self.port.resource, timeout)
         if result.fault is not None:
             raise Fault(result.fault)
         return result.payload
@@ -392,31 +384,16 @@ class ReplyHandle:
             pass  # peer is gone; nothing left to answer
 
 
-class InputPortListener:
-    """A served input port feeding decoded messages into an engine."""
+def serve_frames(on_request: Callable[[Frame, ReplyHandle], None]) -> Callable:
+    """A channel acceptor that hands each request frame to ``on_request``.
 
-    def __init__(self, port: InputPort, sink, binder: Binder, message_factory):
-        self.port = port
-        self._sink = sink
-        self._message_factory = message_factory
-        try:
-            self._listener = binder(port.location, self._on_channel)
-        except StartupError:
-            raise
-        except OSError as e:
-            raise StartupError(f"cannot serve {port.location}: {e}") from e
+    Each accepted channel gets its own daemon thread and ``ReplyHandle``.
+    Whitespace-only lines are skipped; any other line that is not a request
+    frame is answered with ``ProtocolFault`` under the id salvaged from it,
+    and the channel stays open.
+    """
 
-    @property
-    def bound_location(self):
-        inner = getattr(self._listener, "port", None)
-        if inner is not None and isinstance(self.port.location, SocketLocation):
-            return SocketLocation(self.port.location.host, inner)
-        return self.port.location
-
-    def _on_channel(self, channel) -> None:
-        threading.Thread(target=self._serve, args=(channel,), daemon=True).start()
-
-    def _serve(self, channel) -> None:
+    def serve(channel) -> None:
         handle = ReplyHandle(channel)
         while True:
             try:
@@ -434,7 +411,34 @@ class InputPortListener:
             except DecodeError:
                 handle.send_fault(frames.salvage_request_id(line), "", PROTOCOL_FAULT)
                 continue
-            self._handle_request(frame, handle)
+            on_request(frame, handle)
+
+    def accept(channel) -> None:
+        threading.Thread(target=serve, args=(channel,), daemon=True).start()
+
+    return accept
+
+
+class InputPortListener:
+    """A served input port feeding decoded messages into an engine."""
+
+    def __init__(self, port: InputPort, sink, binder: Binder, message_factory):
+        self.port = port
+        self._sink = sink
+        self._message_factory = message_factory
+        try:
+            self._listener = binder(port.location, serve_frames(self._handle_request))
+        except StartupError:
+            raise
+        except OSError as e:
+            raise StartupError(f"cannot serve {port.location}: {e}") from e
+
+    @property
+    def bound_location(self):
+        inner = getattr(self._listener, "port", None)
+        if inner is not None and isinstance(self.port.location, SocketLocation):
+            return SocketLocation(self.port.location.host, inner)
+        return self.port.location
 
     def _handle_request(self, frame: Frame, handle: ReplyHandle) -> None:
         decl = self.port.interface.get(frame.operation)
@@ -459,32 +463,3 @@ class InputPortListener:
 
     def close(self) -> None:
         self._listener.close()
-
-
-def sync_request(conn: Connection, op: str, payload: State, resource: str = "",
-                 timeout: float = 10.0) -> CallResult:
-    """One blocking call over an existing connection; resource set per call."""
-    done = threading.Event()
-    slot: list[CallResult] = []
-
-    def on_result(result: CallResult) -> None:
-        slot.append(result)
-        done.set()
-
-    conn.send_request(op, payload, resource, on_result)
-    if not done.wait(timeout):
-        raise Fault(IO_FAULT, f"no response to {op!r} within {timeout}s")
-    return slot[0]
-
-
-def send_notification(port_runtime: OutputPortRuntime, op: str, payload: State) -> None:
-    port_runtime.notify(op, payload)
-
-
-def send_solicit(port_runtime: OutputPortRuntime, op: str, payload: State,
-                 timeout: float | None = 10.0) -> State:
-    return port_runtime.solicit(op, payload, timeout)
-
-
-def serve_input_port(port: InputPort, sink, binder: Binder, message_factory) -> InputPortListener:
-    return InputPortListener(port, sink, binder, message_factory)

@@ -334,13 +334,6 @@ class SessionRunner:
             return self.ctx.response_ready(w.token)
         return True
 
-    def blocked_on_io(self) -> bool:
-        """True when live strands exist and all of them await input."""
-        live = [s for s in self._strands if s.done is None]
-        if not live:
-            return False
-        return all(isinstance(s.waiting, (_WaitMessage, _WaitResponse)) for s in live)
-
     def waiting_on_response(self) -> bool:
         """True when some live strand awaits a solicited response."""
         return any(

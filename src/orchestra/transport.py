@@ -14,6 +14,7 @@ listeners at once.
 
 from __future__ import annotations
 
+import itertools
 import socket
 import threading
 from collections import deque
@@ -67,12 +68,12 @@ def _trace(channel_name: str, direction: str, data: bytes) -> None:
             _trace_sink.append((channel_name, direction, data))
 
 
-_channel_serial = Counter()
+# next() hands out each serial in one step, so concurrent channels never share a name
+_channel_serial = itertools.count(1)
 
 
 def _unique_name(base: str) -> str:
-    _channel_serial.add(1)
-    return f"{base}#{_channel_serial.value}"
+    return f"{base}#{next(_channel_serial)}"
 
 
 class SocketChannel:
@@ -203,10 +204,6 @@ class LocalRegistry:
     def unbind(self, name: str) -> None:
         with self._lock:
             self._acceptors.pop(name, None)
-
-    def is_bound(self, name: str) -> bool:
-        with self._lock:
-            return name in self._acceptors
 
     def connect(self, name: str) -> MemoryChannel:
         with self._lock:

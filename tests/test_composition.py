@@ -1,9 +1,11 @@
 """Containers: loading, embedding, redirecting, aggregation, mobility."""
 
 import json
+import threading
 
 import pytest
 
+from orchestra import frames
 from orchestra.composition import (
     Container, ServiceDef, load_container, merge_interfaces, parse_service,
     serialize_service,
@@ -301,8 +303,6 @@ def test_service_def_cross_validation():
 
 
 def test_dynamic_embed_is_atomic_per_location(containers):
-    import threading
-
     _, track = containers
     c = track(Container())
     outcomes = []
@@ -336,3 +336,41 @@ def test_reserved_names_rejected(containers):
     hidden_port = calculator_def("local://_mine", "fine")
     with pytest.raises(ValidationError):
         c.embed(hidden_port)
+
+
+def _read_answer(channel, timeout=5.0):
+    got = []
+    reader = threading.Thread(target=lambda: got.append(channel.recv_line()), daemon=True)
+    reader.start()
+    reader.join(timeout)
+    assert got and got[0], "the endpoint sent no answer"
+    return frames.decode_frame(got[0])
+
+
+@pytest.mark.parametrize("endpoint, request_frame", [
+    ("calc", frames.request_frame("7", "calc", calc_payload("sum", 1, 2, "p"))),
+    ("gw", frames.request_frame("7", "calc", calc_payload("sum", 1, 2, "p"), "R")),
+    ("_control", frames.request_frame(
+        "7", "setRedirect", State({"resource": "S", "target": "local://calc"}))),
+], ids=["input-port", "gateway", "control"])
+def test_serving_endpoints_share_the_line_rule(containers, endpoint, request_frame):
+    _, track = containers
+    c = track(Container())
+    c.serve_control()
+    c.embed(calculator_def("local://calc", "calc"))
+    c.set_redirect("R", "local://calc")
+    c.serve_gateway("local://gw")
+    channel = c.registry.connect(endpoint)
+    channel.send(b"\n")
+    channel.send(b" \t\n")
+    channel.send(b'{"id":"55","type":"nonsense"}\n')
+    # had a blank line been answered, its id-less fault would arrive first
+    nonsense = _read_answer(channel)
+    assert (nonsense.id, nonsense.type, nonsense.fault) == ("55", "fault", "ProtocolFault")
+    channel.send(frames.encode_frame(frames.response_frame("56", "calc")))
+    stray = _read_answer(channel)
+    assert (stray.id, stray.type, stray.fault) == ("56", "fault", "ProtocolFault")
+    channel.send(frames.encode_frame(request_frame))
+    answer = _read_answer(channel)
+    channel.close()
+    assert (answer.id, answer.type) == ("7", "response")

@@ -9,9 +9,8 @@ from orchestra import frames
 from orchestra.behaviour import parse_behaviour
 from orchestra.correlation import CorrelationConfig, CorrelationFunction, Message
 from orchestra.deployment import (
-    Interface, InputPort, LocalLocation, MessageType, OperationDecl,
-    OutputPort, OutputPortRuntime, SocketLocation, parse_location,
-    serve_input_port,
+    Interface, InputPort, InputPortListener, LocalLocation, MessageType,
+    OperationDecl, OutputPort, OutputPortRuntime, SocketLocation, parse_location,
 )
 from orchestra.engine import Engine
 from orchestra.errors import Fault, ValidationError
@@ -61,7 +60,7 @@ def rig():
                     registry.unbind(location.name)
             return _L()
 
-        listeners.append(serve_input_port(port, engine.submit, binder, Message))
+        listeners.append(InputPortListener(port, engine.submit, binder, Message))
         return engine
 
     def client(location_name, **kinds):
@@ -242,7 +241,7 @@ def test_over_real_sockets():
     engine = Engine(behaviour=parse_behaviour(ECHO_DOC), interface=interface).start()
     port = InputPort(name="in", location=SocketLocation("127.0.0.1", 0),
                      interface=interface.restrict(["echo", "drop", "boom"]))
-    listener = serve_input_port(
+    listener = InputPortListener(
         port, engine.submit,
         lambda loc, cb: TcpListener(loc.host, loc.port, cb), Message)
     bound = listener.bound_location
