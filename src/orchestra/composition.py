@@ -320,6 +320,7 @@ class Container:
         self._watchdog_grace = watchdog_grace
         self._table_lock = threading.Lock()
         self._gateway_listener = None
+        self._gateway_loc: Location | None = None
         self._relay = _Relay(self.connect)
         self._control_listener = None
         self._stopped = False
@@ -435,10 +436,6 @@ class Container:
         with self._table_lock:
             self.redirects[resource] = location
 
-    def drop_redirect(self, resource: str) -> None:
-        with self._table_lock:
-            self.redirects.pop(resource, None)
-
     def set_aggregation(self, publish: list[str], mapping: dict[str, str]) -> None:
         for op in publish:
             if op not in mapping:
@@ -466,11 +463,11 @@ class Container:
         bound_port = getattr(self._gateway_listener, "port", None)
         if isinstance(loc, SocketLocation) and bound_port is not None:
             loc = SocketLocation(loc.host, bound_port)
-        self._gateway_loc: Location | None = loc
+        self._gateway_loc = loc
 
     @property
     def gateway_location(self) -> Location | None:
-        return getattr(self, "_gateway_loc", None)
+        return self._gateway_loc
 
     def dispatch_gateway_frame(self, frame: frames.Frame, handle: ReplyHandle) -> None:
         """Route one gateway frame by resource name, else by aggregation."""

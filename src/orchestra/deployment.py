@@ -428,8 +428,6 @@ class InputPortListener:
         self._message_factory = message_factory
         try:
             self._listener = binder(port.location, serve_frames(self._handle_request))
-        except StartupError:
-            raise
         except OSError as e:
             raise StartupError(f"cannot serve {port.location}: {e}") from e
 

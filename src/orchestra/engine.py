@@ -10,9 +10,14 @@ Three data tiers:
 
 * local state lives and dies with its session and is reachable only
   through it;
-* global state is shared by all sessions and discarded when the engine
+* global state lives as long as the engine and is discarded when it
   stops;
 * storage state lives in a file and survives engine restarts.
+
+No activity reads or writes the global or storage tier: behaviour
+documents reach only local state.  The host program reaches the other two
+through ``Engine.global_read``, ``global_write``, ``global_add`` and
+``engine.storage``.
 
 Sessions execute on a single driver thread that repeatedly picks one
 ready (session, strand) pair with a seeded generator, so a fixed seed
@@ -24,6 +29,7 @@ hanging silently.
 
 from __future__ import annotations
 
+import itertools
 import random
 import threading
 import time
@@ -52,40 +58,24 @@ class RoutingOutcome:
     fault: str | None = None
 
 
-def delivered(sid: int) -> RoutingOutcome:
-    return RoutingOutcome("delivered", sid)
+class Session(SessionContext):
+    """One running (or waiting) instance of the service behaviour.
 
+    A session is also the context its own interpreter runs against: its
+    local state, mailbox, pending replies and solicit responses, guarded
+    by the owning engine's lock.
+    """
 
-def created(sid: int) -> RoutingOutcome:
-    return RoutingOutcome("created", sid)
-
-
-def queued(sid: int) -> RoutingOutcome:
-    return RoutingOutcome("queued", sid)
-
-
-def rejected(fault: str) -> RoutingOutcome:
-    return RoutingOutcome("rejected", fault=fault)
-
-
-class Session:
-    """One running (or waiting) instance of the service behaviour."""
-
-    def __init__(self, sid: int, firing: bool):
+    def __init__(self, engine: "Engine", sid: int, local: State):
+        super().__init__(local)
+        self._engine = engine
         self.sid = sid
-        self.firing = firing
         self.mailbox: deque[Message] = deque()
         self.pending_replies: dict[str, tuple[object, str]] = {}
         self.responses: dict[int, CallResult] = {}
-        self.reply_log: list[tuple[str, str, State]] = []  # (kind, op, payload) sans transport
         self.started = False
         self.completion: Completion | None = None
-        self.ctx: _EngineSessionContext | None = None
-        self.runner: SessionRunner | None = None
-
-    @property
-    def local(self) -> State:
-        return self.ctx.local
+        self.runner = SessionRunner(engine._behaviour.root, self)
 
     def status(self) -> str:
         if self.completion is not None:
@@ -96,22 +86,13 @@ class Session:
             return "running"
         return "blocked"
 
-
-class _EngineSessionContext(SessionContext):
-    """Session-side view of the engine: mailbox, ports, shared tiers."""
-
-    def __init__(self, engine: "Engine", session: Session):
-        super().__init__(EMPTY)
-        self._engine = engine
-        self._session = session
-
     def has_message(self, op: str) -> bool:
         with self._engine._lock:
-            return any(m.operation == op for m in self._session.mailbox)
+            return any(m.operation == op for m in self.mailbox)
 
     def take_message(self, op: str):
         with self._engine._lock:
-            box = self._session.mailbox
+            box = self.mailbox
             for i, m in enumerate(box):
                 if m.operation == op:
                     del box[i]
@@ -121,21 +102,21 @@ class _EngineSessionContext(SessionContext):
     def note_request(self, msg: Message) -> None:
         if self._engine._interface.kind_of(msg.operation) != REQUEST_RESPONSE:
             return
-        if msg.operation in self._session.pending_replies:
+        if msg.operation in self.pending_replies:
             raise Fault(PROTOCOL_FAULT, f"second receive on {msg.operation!r} before its reply")
-        self._session.pending_replies[msg.operation] = (msg.channel_id, msg.request_id)
+        self.pending_replies[msg.operation] = (msg.channel_id, msg.request_id)
 
     def send_reply(self, op: str, payload: State) -> None:
-        pending = self._session.pending_replies.pop(op, None)
+        """Answer the pending request; one that came with no channel has
+        nobody to answer, so its reply is dropped."""
+        pending = self.pending_replies.pop(op, None)
         if pending is None:
             raise Fault(PROTOCOL_FAULT, f"reply on {op!r} with no pending request")
         decl = self._engine._interface.get(op)
         if decl is not None and decl.response is not None:
             decl.response.check(payload, f"reply {op}")
         handle, request_id = pending
-        if handle is None:
-            self._session.reply_log.append(("response", op, payload))
-        else:
+        if handle is not None:
             handle.send_response(request_id, op, payload)
 
     def notify(self, port: str, op: str, payload: State) -> None:
@@ -143,35 +124,19 @@ class _EngineSessionContext(SessionContext):
 
     def begin_solicit(self, port: str, op: str, payload: State) -> int:
         engine = self._engine
-        token = engine._next_token()
-        sid = self._session.sid
+        token = next(engine._tokens)
         engine._output(port).solicit_begin(
-            op, payload, lambda result: engine._post_response(sid, token, result)
+            op, payload, lambda result: engine._post_response(self, token, result)
         )
         return token
 
     def response_ready(self, token: int) -> bool:
         with self._engine._lock:
-            return token in self._session.responses
+            return token in self.responses
 
     def take_response(self, token: int) -> CallResult:
         with self._engine._lock:
-            return self._session.responses.pop(token)
-
-    # Shared tiers.
-
-    def global_read(self, name: str):
-        return self._engine.global_read(name)
-
-    def global_write(self, name: str, value: Value) -> None:
-        self._engine.global_write(name, value)
-
-    def global_add(self, name: str, delta: Value):
-        return self._engine.global_add(name, delta)
-
-    @property
-    def storage(self) -> Storage | None:
-        return self._engine.storage
+            return self.responses.pop(token)
 
 
 class Engine:
@@ -203,7 +168,7 @@ class Engine:
         self._cond = threading.Condition(self._lock)
         self._sessions: dict[int, Session] = {}
         self._next_sid = 0
-        self._token_counter = 0
+        self._tokens = itertools.count(1)
         self._ready_queue: deque[int] = deque()
         self._active_sid: int | None = None
         self._globals: dict[str, Value] = {}
@@ -271,32 +236,31 @@ class Engine:
         if not self._started_event.wait(timeout=5.0):
             raise StartupError("engine not started")
         if self._stop_requested:
-            return rejected(IO_FAULT)
+            return RoutingOutcome("rejected", fault=IO_FAULT)
         kind = self._interface.kind_of(m.operation)
         if kind not in INPUT_KINDS:
-            outcome = rejected(UNKNOWN_OPERATION)
             self._emit("message_rejected", op=m.operation, fault=UNKNOWN_OPERATION)
-            return outcome
+            return RoutingOutcome("rejected", fault=UNKNOWN_OPERATION)
         cfun = self._correlation.function_for(m.operation)
         with self._cond:
             self._touch_locked()
             live = [
-                (sid, s.ctx.local)
+                (sid, s.local)
                 for sid, s in self._sessions.items()
                 if s.completion is None
             ]
             target = select_session(m, live, self._correlation, self._rng.getrandbits(32))
             if target is not None:
                 session = self._sessions[target]
-                session.ctx.local = bind_correlation(m, cfun, session.ctx.local)
+                session.local = bind_correlation(m, cfun, session.local)
                 session.mailbox.append(m)
-                outcome = delivered(target) if session.started else queued(target)
+                outcome = RoutingOutcome("delivered" if session.started else "queued", target)
             elif m.operation in self._behaviour.initiators:
                 session = self._create_session_locked(bind_correlation(m, cfun, EMPTY))
                 session.mailbox.append(m)
-                outcome = created(session.sid)
+                outcome = RoutingOutcome("created", session.sid)
             else:
-                outcome = rejected(CORRELATION_ERROR)
+                outcome = RoutingOutcome("rejected", fault=CORRELATION_ERROR)
             self._cond.notify_all()
         self._emit("message_routed", session=outcome.session_id, op=m.operation,
                    outcome=outcome.kind, fault=outcome.fault)
@@ -304,11 +268,7 @@ class Engine:
 
     def _create_session_locked(self, local: State, firing: bool = False) -> Session:
         self._next_sid += 1
-        session = Session(self._next_sid, firing)
-        ctx = _EngineSessionContext(self, session)
-        ctx.local = local
-        session.ctx = ctx
-        session.runner = SessionRunner(self._behaviour.root, ctx)
+        session = Session(self, self._next_sid, local)
         self._sessions[session.sid] = session
         self._emit("session_created", session=session.sid, firing=firing)
         if self.mode == SEQUENTIAL:
@@ -338,8 +298,7 @@ class Engine:
             with self._cond:
                 self._touch_locked()
                 if session.runner.completion is not None and session.completion is None:
-                    self._finish_session_locked(session)
-                self._cond.notify_all()
+                    self._finish_session_locked(session, session.runner.completion)
         self._terminate_all_sessions()
 
     def _ready_pairs_locked(self) -> list[tuple[int, object]]:
@@ -365,15 +324,11 @@ class Engine:
                 pairs.extend((sid, s) for s in session.runner.ready())
         return pairs
 
-    def _finish_session_locked(self, session: Session) -> None:
-        session.completion = session.runner.completion
-        self._emit("session_finished", session=session.sid,
-                   completion=repr(session.completion))
-        self._answer_abandoned_replies(session)
-
-    def _answer_abandoned_replies(self, session: Session) -> None:
-        """A finished session must not leave a request hanging forever."""
-        completion = session.completion
+    def _finish_session_locked(self, session: Session, completion: Completion) -> None:
+        """The one way a session ends.  It must not leave a request hanging
+        forever, so every reply it still owes is answered with a fault."""
+        session.completion = completion
+        self._emit("session_finished", session=session.sid, completion=repr(completion))
         if completion.kind == "fault":
             fault_name = completion.fault
         elif completion.kind == "terminated":
@@ -381,11 +336,10 @@ class Engine:
         else:
             fault_name = PROTOCOL_FAULT
         for op, (handle, request_id) in session.pending_replies.items():
-            if handle is None:
-                session.reply_log.append(("fault", op, State({"fault": fault_name})))
-            else:
+            if handle is not None:
                 handle.send_fault(request_id, op, fault_name)
         session.pending_replies.clear()
+        self._cond.notify_all()
 
     def _terminate_all_sessions(self) -> None:
         with self._lock:
@@ -405,16 +359,15 @@ class Engine:
                     session.runner.step(ready[0])
                     stepped = True
                     budget -= 1
-                if session.runner.completion is not None and session.completion is None:
+                if session.runner.completion is not None:
                     with self._lock:
-                        self._finish_session_locked(session)
+                        self._finish_session_locked(session, session.runner.completion)
             if not stepped:
                 break
-        for session in sessions:
-            if session.completion is None:
-                session.completion = TERMINATED
-                self._emit("session_finished", session=session.sid, completion="terminated")
-                self._answer_abandoned_replies(session)
+        with self._lock:
+            for session in sessions:
+                if session.completion is None:
+                    self._finish_session_locked(session, TERMINATED)
 
     def _check_deadlock_locked(self) -> None:
         """Flag quiescence that cannot resolve itself: blocked solicits or
@@ -439,6 +392,7 @@ class Engine:
         }
         self.deadlock_reports.append(report)
         self._emit("deadlock", detail_sessions=report["sessions"])
+        self._cond.notify_all()
 
     def _touch_locked(self) -> None:
         self._last_activity = time.monotonic()
@@ -475,15 +429,9 @@ class Engine:
             raise Fault(IO_FAULT, f"no output port named {port!r}")
         return runtime
 
-    def _next_token(self) -> int:
-        with self._lock:
-            self._token_counter += 1
-            return self._token_counter
-
-    def _post_response(self, sid: int, token: int, result: CallResult) -> None:
+    def _post_response(self, session: Session, token: int, result: CallResult) -> None:
         with self._cond:
-            session = self._sessions.get(sid)
-            if session is None or session.completion is not None:
+            if session.completion is not None:
                 return
             session.responses[token] = result
             self._touch_locked()
@@ -504,7 +452,7 @@ class Engine:
     def session_view(self, sid: int) -> tuple[str, Completion | None, State]:
         with self._lock:
             s = self._sessions[sid]
-            return s.status(), s.completion, s.ctx.local
+            return s.status(), s.completion, s.local
 
     def live_session_count(self) -> int:
         with self._lock:
@@ -512,22 +460,10 @@ class Engine:
 
     def wait_all_finished(self, timeout: float = 10.0) -> bool:
         """Block until every session so far has finished."""
-        deadline = time.monotonic() + timeout
         with self._cond:
-            while True:
-                if all(s.completion is not None for s in self._sessions.values()):
-                    return True
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
-                self._cond.wait(timeout=min(remaining, 0.05))
+            return self._cond.wait_for(
+                lambda: all(s.completion is not None for s in self._sessions.values()), timeout)
 
     def wait_deadlock(self, timeout: float = 5.0) -> bool:
-        deadline = time.monotonic() + timeout
         with self._cond:
-            while not self.deadlock_reports:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
-                self._cond.wait(timeout=min(remaining, 0.05))
-            return True
+            return self._cond.wait_for(lambda: bool(self.deadlock_reports), timeout)

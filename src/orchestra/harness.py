@@ -91,7 +91,6 @@ class ScriptedContext(SessionContext):
         self.mailbox = list(trace)
         self.sent: list[tuple[str, str, State]] = []
         self.replies: list[tuple[str, State]] = []
-        self.request_response_ops: frozenset[str] = frozenset()
 
     def has_message(self, op: str) -> bool:
         return any(m.operation == op for m in self.mailbox)

@@ -305,7 +305,6 @@ class SessionRunner:
         self._strands: list[Strand] = []
         self._next_sid = 0
         self.completion: Completion | None = None
-        self.handler_fault = False
         self._spawn(_interp(root, ctx), None)
 
     def _spawn(self, gen, parent_join: _Join | None) -> Strand:
@@ -404,7 +403,6 @@ class SessionRunner:
         join = strand.parent_join
         if join is None:
             self.completion = completion
-            self.handler_fault = self.handler_fault or handler_fault
             return
         join.pending.discard(strand)
         if handler_fault:

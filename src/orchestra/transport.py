@@ -76,10 +76,31 @@ def _unique_name(base: str) -> str:
     return f"{base}#{next(_channel_serial)}"
 
 
-class SocketChannel:
-    """A connected TCP socket with buffered line reads and byte counting."""
+class _LineReader:
+    """The line rule both transports share: split on LF, hand back what is
+    left at EOF, trace each whole line.  A transport supplies
+    ``_read_chunk``: its next bytes, or ``b""`` at EOF."""
 
-    transport = "socket"
+    name: str
+    _buffer: bytes
+
+    def _read_chunk(self) -> bytes:
+        raise NotImplementedError
+
+    def recv_line(self) -> bytes | None:
+        while b"\n" not in self._buffer:
+            chunk = self._read_chunk()
+            if not chunk:
+                leftover, self._buffer = self._buffer, b""
+                return leftover or None
+            self._buffer += chunk
+        line, self._buffer = self._buffer.split(b"\n", 1)
+        _trace(self.name, "in", line)
+        return line + b"\n"
+
+
+class SocketChannel(_LineReader):
+    """A connected TCP socket with buffered line reads and byte counting."""
 
     def __init__(self, sock: socket.socket, name: str = ""):
         self._sock = sock
@@ -99,21 +120,14 @@ class SocketChannel:
         self.bytes_out += len(data)
         SOCKET_BYTES.add(len(data))
 
-    def recv_line(self) -> bytes | None:
-        while b"\n" not in self._buffer:
-            try:
-                chunk = self._sock.recv(65536)
-            except OSError:
-                chunk = b""
-            if not chunk:
-                leftover, self._buffer = self._buffer, b""
-                return leftover or None
-            self._buffer += chunk
-            self.bytes_in += len(chunk)
-            SOCKET_BYTES.add(len(chunk))
-        line, self._buffer = self._buffer.split(b"\n", 1)
-        _trace(self.name, "in", line)
-        return line + b"\n"
+    def _read_chunk(self) -> bytes:
+        try:
+            chunk = self._sock.recv(65536)
+        except OSError:
+            return b""
+        self.bytes_in += len(chunk)
+        SOCKET_BYTES.add(len(chunk))
+        return chunk
 
     def close(self) -> None:
         if self._closed:
@@ -126,10 +140,8 @@ class SocketChannel:
         self._sock.close()
 
 
-class MemoryChannel:
+class MemoryChannel(_LineReader):
     """One end of an in-process duplex byte pipe."""
-
-    transport = "memory"
 
     def __init__(self, name: str = ""):
         self.name = _unique_name(name or "memory")
@@ -155,19 +167,15 @@ class MemoryChannel:
         peer.bytes_in += len(data)
         LOCAL_BYTES.add(len(data))
 
-    def recv_line(self) -> bytes | None:
-        while b"\n" not in self._buffer:
-            with self._cond:
-                while not self._incoming and not self._closed:
-                    self._cond.wait()
-                if self._incoming:
-                    self._buffer += self._incoming.popleft()
-                    continue
-                leftover, self._buffer = self._buffer, b""
-                return leftover or None
-        line, self._buffer = self._buffer.split(b"\n", 1)
-        _trace(self.name, "in", line)
-        return line + b"\n"
+    def _read_chunk(self) -> bytes:
+        with self._cond:
+            while True:
+                self._cond.wait_for(lambda: self._incoming or self._closed)
+                if not self._incoming:
+                    return b""
+                chunk = self._incoming.popleft()
+                if chunk:  # an empty send is not EOF
+                    return chunk
 
     def close(self) -> None:
         with self._cond:

@@ -1,9 +1,35 @@
-"""Byte transports: channel identity under concurrent creation."""
+"""Byte transports: channel identity and the line rule both share."""
 
+import socket
 import sys
 import threading
 
-from orchestra.transport import MemoryChannel
+import pytest
+
+from orchestra.transport import MemoryChannel, SocketChannel, memory_pair
+
+
+def _socket_pair():
+    a, b = socket.socketpair()
+    return SocketChannel(a, "a"), SocketChannel(b, "b")
+
+
+@pytest.mark.parametrize("make_pair", [memory_pair, _socket_pair], ids=["memory", "socket"])
+def test_line_rule_is_the_same_on_both_transports(make_pair):
+    a, b = make_pair()
+    try:
+        a.send(b"one\ntw")
+        a.send(b"")  # an empty send is not end of stream
+        a.send(b"o\nrest")
+        assert b.recv_line() == b"one\n"
+        assert b.recv_line() == b"two\n"
+        a.close()
+        assert b.recv_line() == b"rest"  # what is left at EOF, unterminated
+        assert b.recv_line() is None
+        assert b.bytes_in == len(b"one\ntwo\nrest")
+    finally:
+        a.close()
+        b.close()
 
 
 def test_channel_names_stay_unique_across_threads():
