@@ -12,6 +12,11 @@ binds them, so the session's identity solidifies on first contact.  When
 several sessions match, one is picked pseudo-randomly from the given seed;
 deliberately under-programmed correlation keeps that residual
 nondeterminism.
+
+``CorrelationIndex`` keeps, per correlation variable, the sessions that
+bound it by value and those that have not bound it, so a router can hand
+``select_session`` a short superset of the matches instead of every
+session.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 from .errors import ValidationError
-from .state import EMPTY, State, UNDEFINED, check_var_name, values_equal
+from .state import EMPTY, State, UNDEFINED, Value, check_var_name, values_equal
 
 
 @dataclass(frozen=True)
@@ -166,3 +171,84 @@ def select_session(
     if len(matched) == 1:
         return matched[0]
     return matched[random.Random(seed).randrange(len(matched))]
+
+
+def _key(v: Value) -> tuple[type, Value]:
+    """Index key of a bound value.  Values that ``values_equal`` calls equal
+    get equal keys, so a lookup never misses a match: ``0.0`` meets
+    ``-0.0``, while ``1``, ``1.0`` and ``True`` stay apart."""
+    return type(v), v
+
+
+class CorrelationIndex:
+    """Sessions by the value each has bound to each correlation variable.
+
+    ``bound[var][key(v)]`` holds the sessions whose ``var`` is ``v``;
+    ``unbound[var]`` holds those whose ``var`` is still unbound.  A message
+    can match only sessions that sit, for every correlated field, in the
+    field's value slot or in the variable's unbound set, so intersecting
+    those gives a superset of the matches.  Callers keep it in step with
+    every change to a session's state.
+    """
+
+    def __init__(self, cset: frozenset[str]):
+        self._bound: dict[str, dict[tuple[type, Value], set]] = {var: {} for var in cset}
+        self._unbound: dict[str, set] = {var: set() for var in cset}
+
+    def add(self, sid: Any, s: State) -> None:
+        for var in self._bound:
+            self._put(sid, var, s.lookup(var))
+
+    def remove(self, sid: Any, s: State) -> None:
+        for var in self._bound:
+            self._drop(sid, var, s.lookup(var))
+
+    def rebind(self, sid: Any, var: str, old, new) -> None:
+        """Variable ``var`` of session ``sid`` changed from ``old`` to ``new``
+        (either may be ``UNDEFINED``)."""
+        if var not in self._bound or (old is not UNDEFINED and values_equal(old, new)):
+            return
+        self._drop(sid, var, old)
+        self._put(sid, var, new)
+
+    def update(self, sid: Any, old: State, new: State) -> None:
+        """Session ``sid``'s state went from ``old`` to ``new``."""
+        for var in self._bound:
+            self.rebind(sid, var, old.lookup(var), new.lookup(var))
+
+    def candidates(self, message: Message, cfun: CorrelationFunction) -> set | None:
+        """Sessions that may match ``message``; None when it correlates no
+        field, so that every session may match."""
+        slots = []
+        for field_name in message.payload:
+            var = cfun.get(field_name)
+            if var is None:
+                continue
+            bound = self._bound[var].get(_key(message.payload.lookup(field_name)), ())
+            slots.append((bound, self._unbound[var]))
+        if not slots:
+            return None
+        slots.sort(key=lambda slot: len(slot[0]) + len(slot[1]))
+        bound, unbound = slots[0]
+        out = set(bound) | unbound
+        for bound, unbound in slots[1:]:
+            out = {sid for sid in out if sid in bound or sid in unbound}
+        return out
+
+    def _put(self, sid: Any, var: str, v) -> None:
+        if v is UNDEFINED:
+            self._unbound[var].add(sid)
+        else:
+            self._bound[var].setdefault(_key(v), set()).add(sid)
+
+    def _drop(self, sid: Any, var: str, v) -> None:
+        if v is UNDEFINED:
+            self._unbound[var].discard(sid)
+            return
+        slot = self._bound[var]
+        key = _key(v)
+        sids = slot.get(key)
+        if sids is not None:
+            sids.discard(sid)
+            if not sids:
+                del slot[key]

@@ -256,6 +256,11 @@ class Connection:
             raise Fault(IO_FAULT, str(e)) from e
         return frame_id
 
+    def forget(self, frame_id: str) -> None:
+        """Stop waiting for the answer to ``frame_id``; a late one is dropped."""
+        with self._lock:
+            self._waiters.pop(frame_id, None)
+
     def _read_loop(self) -> None:
         while True:
             try:
@@ -302,8 +307,9 @@ def sync_request(conn: Connection, op: str, payload: State, resource: str = "",
         slot.append(result)
         done.set()
 
-    conn.send_request(op, payload, resource, on_result)
+    frame_id = conn.send_request(op, payload, resource, on_result)
     if not done.wait(timeout):
+        conn.forget(frame_id)
         raise Fault(IO_FAULT, f"no response to {op!r} within {timeout}s")
     return slot[0]
 

@@ -24,7 +24,24 @@ ready (session, strand) pair with a seeded generator, so a fixed seed
 fixes every scheduling choice.  In sequential mode only one session is
 active at a time and the rest wait in a FIFO queue, which is exactly what
 lets call cycles deadlock; a watchdog reports that quiescence instead of
-hanging silently.
+hanging silently.  Between events the driver sleeps until the watchdog's
+next deadline.
+
+The cost of one message does not grow with the number of sessions:
+
+* routing asks a ``CorrelationIndex`` for the sessions that may match and
+  hands only those to ``select_session``, which still makes the final
+  choice, so the pick is the one a scan of every live session would make;
+* the driver keeps the ready (session, strand) pairs of the started
+  sessions in one list, in session id order and then spawn order, which
+  is the order a scan of every session would give.  It recomputes one
+  session's pairs only after an event that can change them: a step of
+  that session, a message delivered to it, a solicit response posted to
+  it, its start, or its end;
+* a finished session leaves the session table, the index and the ready
+  pairs.  Its completion and final local state stay readable for the
+  last ``FINISHED_KEPT`` finished sessions, and ``events`` keeps the last
+  ``EVENTS_KEPT`` records; ``event_sink`` receives every record.
 """
 
 from __future__ import annotations
@@ -33,22 +50,39 @@ import itertools
 import random
 import threading
 import time
-from collections import deque
+from bisect import bisect_left, bisect_right
+from collections import OrderedDict, deque
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .behaviour import BehaviourDef
-from .correlation import CorrelationConfig, Message, bind_correlation, select_session
+from .correlation import (
+    CorrelationConfig, CorrelationIndex, Message, bind_correlation, select_session,
+)
 from .deployment import Interface, INPUT_KINDS, OutputPortRuntime, REQUEST_RESPONSE
 from .errors import (
-    CORRELATION_ERROR, Fault, IO_FAULT, PROTOCOL_FAULT, StartupError,
+    CORRELATION_ERROR, Fault, IO_FAULT, PROTOCOL_FAULT, SESSION_ENDED, StartupError,
     TERMINATED_FAULT, TYPE_FAULT, UNKNOWN_OPERATION,
 )
-from .interpreter import CallResult, Completion, SessionContext, SessionRunner, TERMINATED
+from .interpreter import (
+    CallResult, Completion, SessionContext, SessionRunner, Strand, TERMINATED,
+)
 from .state import EMPTY, State, UNDEFINED, Value
 from .storage import Storage
 
 SEQUENTIAL = "sequential"
 CONCURRENT = "concurrent"
+
+# Finished sessions whose completion and final local state stay readable
+# through session_ids, session_view and stop()'s report.
+FINISHED_KEPT = 256
+# Event records kept in Engine.events.
+EVENTS_KEPT = 1024
+# Steps stop() spends on termination handlers before it ends the sessions
+# still running as terminated.
+STOP_STEP_BUDGET = 100_000
+
+_pair_sid = itemgetter(0)
 
 
 @dataclass(frozen=True)
@@ -85,6 +119,16 @@ class Session(SessionContext):
         if self.runner.ready():
             return "running"
         return "blocked"
+
+    def set_var(self, name: str, value) -> None:
+        """Bind a local variable under the engine lock: a message binding a
+        correlation variable of this session meanwhile is not lost, and the
+        routing index stays in step with ``local``."""
+        engine = self._engine
+        with engine._lock:
+            old = self.local
+            self.local = old.update(name, value)
+            engine._index.rebind(self.sid, name, old.lookup(name), value)
 
     def has_message(self, op: str) -> bool:
         with self._engine._lock:
@@ -166,7 +210,13 @@ class Engine:
         self._rng = random.Random(seed)
         self._lock = threading.RLock()
         self._cond = threading.Condition(self._lock)
-        self._sessions: dict[int, Session] = {}
+        self._sessions: dict[int, Session] = {}  # live sessions, in sid order
+        self._finished: OrderedDict[int, tuple[Completion, State]] = OrderedDict()
+        self._index = CorrelationIndex(self._correlation.cset)
+        # Every ready (sid, strand) pair of the started sessions, by sid and
+        # then spawn order; _dirty holds the sids whose pairs may be stale.
+        self._ready: list[tuple[int, Strand]] = []
+        self._dirty: set[int] = set()
         self._next_sid = 0
         self._tokens = itertools.count(1)
         self._ready_queue: deque[int] = deque()
@@ -174,7 +224,7 @@ class Engine:
         self._globals: dict[str, Value] = {}
         self._globals_lock = threading.Lock()
         self.storage = Storage(storage_path) if storage_path else None
-        self.events: list[dict] = []
+        self.events: deque[dict] = deque(maxlen=EVENTS_KEPT)
         self._event_sink = event_sink
         self.watchdog_grace = watchdog_grace
         self.log_steps = log_steps
@@ -220,7 +270,10 @@ class Engine:
         self._driver.join(timeout=10.0)
         with self._globals_lock:
             self._globals.clear()
-        report = {sid: s.completion for sid, s in self._sessions.items()}
+        with self._lock:
+            report = {sid: completion for sid, (completion, _) in self._finished.items()}
+            report.update((sid, s.completion) for sid, s in self._sessions.items())
+        report = dict(sorted(report.items()))
         self.final_report = report
         self._emit("engine_stopped", report={k: repr(v) for k, v in report.items()})
         return report
@@ -244,16 +297,18 @@ class Engine:
         cfun = self._correlation.function_for(m.operation)
         with self._cond:
             self._touch_locked()
-            live = [
-                (sid, s.local)
-                for sid, s in self._sessions.items()
-                if s.completion is None
-            ]
-            target = select_session(m, live, self._correlation, self._rng.getrandbits(32))
+            sids = self._index.candidates(m, cfun)
+            sessions = self._sessions
+            candidates = ([(sid, s.local) for sid, s in sessions.items()] if sids is None
+                          else [(sid, sessions[sid].local) for sid in sids])
+            target = select_session(m, candidates, self._correlation, self._rng.getrandbits(32))
             if target is not None:
-                session = self._sessions[target]
-                session.local = bind_correlation(m, cfun, session.local)
+                session = sessions[target]
+                old = session.local
+                session.local = bind_correlation(m, cfun, old)
+                self._index.update(target, old, session.local)
                 session.mailbox.append(m)
+                self._dirty.add(target)
                 outcome = RoutingOutcome("delivered" if session.started else "queued", target)
             elif m.operation in self._behaviour.initiators:
                 session = self._create_session_locked(bind_correlation(m, cfun, EMPTY))
@@ -270,11 +325,13 @@ class Engine:
         self._next_sid += 1
         session = Session(self, self._next_sid, local)
         self._sessions[session.sid] = session
+        self._index.add(session.sid, local)
         self._emit("session_created", session=session.sid, firing=firing)
         if self.mode == SEQUENTIAL:
             self._ready_queue.append(session.sid)
         else:
             session.started = True
+            self._dirty.add(session.sid)
             self._emit("session_started", session=session.sid)
         return session
 
@@ -287,8 +344,7 @@ class Engine:
                     break
                 pairs = self._ready_pairs_locked()
                 if not pairs:
-                    self._check_deadlock_locked()
-                    self._cond.wait(timeout=0.02)
+                    self._cond.wait(self._check_deadlock_locked())
                     continue
                 sid, strand = pairs[self._rng.randrange(len(pairs))]
                 session = self._sessions[sid]
@@ -297,36 +353,41 @@ class Engine:
             session.runner.step(strand)
             with self._cond:
                 self._touch_locked()
+                self._dirty.add(sid)
                 if session.runner.completion is not None and session.completion is None:
                     self._finish_session_locked(session, session.runner.completion)
         self._terminate_all_sessions()
 
-    def _ready_pairs_locked(self) -> list[tuple[int, object]]:
-        if self.mode == SEQUENTIAL:
-            active = self._active_sid
-            if active is None or self._sessions[active].completion is not None:
-                active = None
-                while self._ready_queue:
-                    sid = self._ready_queue.popleft()
-                    if self._sessions[sid].completion is None:
-                        active = sid
-                        break
-                self._active_sid = active
-                if active is not None:
-                    self._sessions[active].started = True
-                    self._emit("session_started", session=active)
-            if active is None:
-                return []
-            return [(active, s) for s in self._sessions[active].runner.ready()]
-        pairs = []
-        for sid, session in self._sessions.items():
-            if session.completion is None and session.started:
-                pairs.extend((sid, s) for s in session.runner.ready())
+    def _ready_pairs_locked(self) -> list[tuple[int, Strand]]:
+        """Every ready (session, strand) pair of the started sessions, in
+        sid order and then spawn order.  In sequential mode the one started
+        session is the active one; when it has finished, the next queued
+        session starts."""
+        if self.mode == SEQUENTIAL and self._active_sid not in self._sessions:
+            self._active_sid = None
+            while self._ready_queue:
+                sid = self._ready_queue.popleft()
+                if sid in self._sessions:
+                    self._active_sid = sid
+                    self._sessions[sid].started = True
+                    self._dirty.add(sid)
+                    self._emit("session_started", session=sid)
+                    break
+        pairs = self._ready
+        for sid in self._dirty:
+            session = self._sessions.get(sid)
+            strands = session.runner.ready() if session is not None and session.started else []
+            lo = bisect_left(pairs, sid, key=_pair_sid)
+            pairs[lo:bisect_right(pairs, sid, lo, key=_pair_sid)] = [(sid, s) for s in strands]
+        self._dirty.clear()
         return pairs
 
     def _finish_session_locked(self, session: Session, completion: Completion) -> None:
         """The one way a session ends.  It must not leave a request hanging
-        forever, so every reply it still owes is answered with a fault."""
+        forever, so every reply it still owes is answered with a fault, and
+        so is every request-response message still in its mailbox.  The
+        session then leaves the live tables; its completion and final local
+        state are kept among the last ``FINISHED_KEPT``."""
         session.completion = completion
         self._emit("session_finished", session=session.sid, completion=repr(completion))
         if completion.kind == "fault":
@@ -339,6 +400,17 @@ class Engine:
             if handle is not None:
                 handle.send_fault(request_id, op, fault_name)
         session.pending_replies.clear()
+        for m in session.mailbox:
+            if m.channel_id is not None and self._interface.kind_of(m.operation) == REQUEST_RESPONSE:
+                m.channel_id.send_fault(m.request_id, m.operation, SESSION_ENDED)
+        session.mailbox.clear()
+        sid = session.sid
+        del self._sessions[sid]
+        self._index.remove(sid, session.local)
+        self._dirty.add(sid)
+        self._finished[sid] = (completion, session.local)
+        if len(self._finished) > FINISHED_KEPT:
+            self._finished.popitem(last=False)
         self._cond.notify_all()
 
     def _terminate_all_sessions(self) -> None:
@@ -348,14 +420,14 @@ class Engine:
             if session.completion is None:
                 session.started = True
                 session.runner.terminate()
-        budget = 100_000
-        while budget:
+        budget = STOP_STEP_BUDGET
+        while budget > 0:
             stepped = False
             for session in sessions:
                 if session.completion is not None:
                     continue
                 ready = session.runner.ready()
-                if ready:
+                if ready and budget > 0:
                     session.runner.step(ready[0])
                     stepped = True
                     budget -= 1
@@ -369,22 +441,25 @@ class Engine:
                 if session.completion is None:
                     self._finish_session_locked(session, TERMINATED)
 
-    def _check_deadlock_locked(self) -> None:
+    def _check_deadlock_locked(self) -> float | None:
         """Flag quiescence that cannot resolve itself: blocked solicits or
-        sessions stuck behind a sequential queue, with nothing running."""
+        sessions stuck behind a sequential queue, with nothing running.
+
+        Returns how long the idle driver may sleep before the check is due,
+        or None when only a new event (which notifies) can change its answer.
+        """
         if self._deadlock_flagged:
-            return
-        if time.monotonic() - self._last_activity < self.watchdog_grace:
-            return
-        live = [s for s in self._sessions.values() if s.completion is None]
-        if not live:
-            return
+            return None
+        due = self._last_activity + self.watchdog_grace - time.monotonic()
+        if due > 0:
+            return due
+        live = list(self._sessions.values())
         stuck_behind_queue = any(not s.started for s in live)
         awaiting_response = any(
             s.started and s.runner.waiting_on_response() for s in live
         )
         if not (stuck_behind_queue or awaiting_response):
-            return
+            return None
         self._deadlock_flagged = True
         report = {
             "sessions": {s.sid: s.status() for s in live},
@@ -393,6 +468,7 @@ class Engine:
         self.deadlock_reports.append(report)
         self._emit("deadlock", detail_sessions=report["sessions"])
         self._cond.notify_all()
+        return None
 
     def _touch_locked(self) -> None:
         self._last_activity = time.monotonic()
@@ -434,6 +510,7 @@ class Engine:
             if session.completion is not None:
                 return
             session.responses[token] = result
+            self._dirty.add(session.sid)
             self._touch_locked()
             self._cond.notify_all()
 
@@ -446,23 +523,26 @@ class Engine:
     # Observation -------------------------------------------------------------
 
     def session_ids(self) -> list[int]:
+        """Live sessions and the last ``FINISHED_KEPT`` finished ones."""
         with self._lock:
-            return sorted(self._sessions)
+            return sorted([*self._finished, *self._sessions])
 
     def session_view(self, sid: int) -> tuple[str, Completion | None, State]:
         with self._lock:
-            s = self._sessions[sid]
-            return s.status(), s.completion, s.local
+            s = self._sessions.get(sid)
+            if s is not None:
+                return s.status(), s.completion, s.local
+            completion, local = self._finished[sid]
+            return "finished", completion, local
 
     def live_session_count(self) -> int:
         with self._lock:
-            return sum(1 for s in self._sessions.values() if s.completion is None)
+            return len(self._sessions)
 
     def wait_all_finished(self, timeout: float = 10.0) -> bool:
         """Block until every session so far has finished."""
         with self._cond:
-            return self._cond.wait_for(
-                lambda: all(s.completion is not None for s in self._sessions.values()), timeout)
+            return self._cond.wait_for(lambda: not self._sessions, timeout)
 
     def wait_deadlock(self, timeout: float = 5.0) -> bool:
         with self._cond:

@@ -80,3 +80,4 @@ UNKNOWN_RESOURCE = "UnknownResource"
 NAME_CLASH_FAULT = "NameClash"
 UNKNOWN_SERVICE_FAULT = "UnknownService"
 TERMINATED_FAULT = "Terminated"
+SESSION_ENDED = "SessionEnded"

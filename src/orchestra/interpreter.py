@@ -405,6 +405,10 @@ class SessionRunner:
             self.completion = completion
             return
         join.pending.discard(strand)
+        if not join.pending:
+            # The join resolved: its strands are all done, so drop every
+            # finished strand and keep the list as long as the live ones.
+            self._strands = [s for s in self._strands if s.done is None]
         if handler_fault:
             join.fault = HANDLER_FAULT
         elif completion.kind == "fault" and join.fault is None and not join.terminating:

@@ -3,9 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from orchestra.correlation import (
-    CorrelationConfig, CorrelationFunction, Message, bind_correlation,
+    CorrelationConfig, CorrelationFunction, CorrelationIndex, Message, bind_correlation,
     correlates, select_session,
 )
 from orchestra.errors import ValidationError
@@ -134,3 +135,56 @@ def test_monotonicity_removing_fields_never_breaks_match():
             for drop in list(payload):
                 smaller = {k: v for k, v in payload.items() if k != drop}
                 assert correlates(Message("op", State(smaller)), f, st)
+
+
+# Values that one exact-variant comparison must keep apart (1, 1.0, True)
+# or bring together (0.0 and -0.0).
+_VALUES = st.sampled_from([1, 1.0, True, 0, 0.0, -0.0, False, "1", "a", ""])
+_VARS = ("a", "b")
+_INDEXED = cfg(both={"x": "a", "y": "b"}, one={"x": "a"})
+_FIELDS = st.dictionaries(st.sampled_from(["x", "y", "w"]), _VALUES)
+_STEP = st.one_of(
+    st.tuples(st.just("open"), st.dictionaries(st.sampled_from(_VARS), _VALUES)),
+    st.tuples(st.just("route"), st.sampled_from(["both", "one", "plain"]), _FIELDS,
+              st.integers(0, 2**32 - 1)),
+    st.tuples(st.just("assign"), st.integers(0, 50), st.sampled_from(_VARS), _VALUES),
+    st.tuples(st.just("finish"), st.integers(0, 50)),
+)
+
+
+@given(st.lists(_STEP, max_size=40))
+def test_index_candidates_cover_every_match(steps):
+    """Against a full table: every matching session is a candidate, and the
+    pick over the candidates is the pick over the table."""
+    table: dict[int, State] = {}
+    index = CorrelationIndex(_INDEXED.cset)
+    next_sid = 0
+    for step in steps:
+        if step[0] == "open":
+            next_sid += 1
+            table[next_sid] = State(step[1])
+            index.add(next_sid, table[next_sid])
+        elif step[0] in ("assign", "finish") and table:
+            sid = sorted(table)[step[1] % len(table)]
+            if step[0] == "finish":
+                index.remove(sid, table.pop(sid))
+            else:
+                _, _, var, value = step
+                old = table[sid]
+                table[sid] = old.update(var, value)
+                index.rebind(sid, var, old.lookup(var), value)
+        elif step[0] == "route":
+            _, op, fields, seed = step
+            m = msg(op, **fields)
+            cfun = _INDEXED.function_for(op)
+            full = list(table.items())
+            sids = index.candidates(m, cfun)
+            candidates = full if sids is None else [(sid, table[sid]) for sid in sids]
+            matched = {sid for sid, s in full if correlates(m, cfun, s)}
+            assert matched <= {sid for sid, _ in candidates}
+            target = select_session(m, candidates, _INDEXED, seed)
+            assert target == select_session(m, full, _INDEXED, seed)
+            if target is not None:
+                old = table[target]
+                table[target] = bind_correlation(m, cfun, old)
+                index.update(target, old, table[target])

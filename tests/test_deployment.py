@@ -9,13 +9,14 @@ from orchestra import frames
 from orchestra.behaviour import parse_behaviour
 from orchestra.correlation import CorrelationConfig, CorrelationFunction, Message
 from orchestra.deployment import (
-    Interface, InputPort, InputPortListener, LocalLocation, MessageType,
+    Connection, Interface, InputPort, InputPortListener, LocalLocation, MessageType,
     OperationDecl, OutputPort, OutputPortRuntime, SocketLocation, parse_location,
+    sync_request,
 )
 from orchestra.engine import Engine
 from orchestra.errors import Fault, ValidationError
 from orchestra.state import EMPTY, State
-from orchestra.transport import LocalRegistry, TcpListener, connect_socket
+from orchestra.transport import LocalRegistry, TcpListener, connect_socket, memory_pair
 
 
 ECHO_IFACE = Interface({
@@ -294,6 +295,19 @@ def test_finished_session_receives_no_more_messages(rig):
     again = engine.submit(Message("drop", State({"v": 1})))
     assert again.kind == "created"
     assert again.session_id != first.session_id
+
+
+def test_sync_request_timeout_forgets_its_waiter():
+    client_end, server_end = memory_pair("silent")  # nobody answers on server_end
+    conn = Connection(client_end)
+    try:
+        with pytest.raises(Fault) as err:
+            sync_request(conn, "echo", State({"v": 1}), timeout=0.05)
+        assert err.value.name == "IOFault"
+        assert conn._waiters == {}
+    finally:
+        conn.close()
+        server_end.close()
 
 
 def test_parse_location():

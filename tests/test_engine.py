@@ -1,15 +1,20 @@
 """Engine behaviour: routing, state tiers, modes, watchdog, lifecycle."""
 
 import random
+import sys
 import threading
+import time
+from collections import Counter
 
 import pytest
 
+from orchestra import correlation
 from orchestra.behaviour import parse_behaviour
 from orchestra.correlation import CorrelationConfig, CorrelationFunction, Message
 from orchestra.deployment import Interface, MessageType, OperationDecl
-from orchestra.engine import Engine, SEQUENTIAL
+from orchestra.engine import EVENTS_KEPT, FINISHED_KEPT, Engine, SEQUENTIAL
 from orchestra.errors import Fault
+from orchestra.interpreter import SessionRunner
 from orchestra.state import EMPTY, State, UNDEFINED
 
 
@@ -321,3 +326,170 @@ def test_no_deadlock_report_when_idle_and_finished(engines):
     import time
     time.sleep(0.3)
     assert e.deadlock_reports == []
+
+
+def test_binding_during_an_assign_loop_is_not_lost(engines):
+    """Messages binding correlation variables of a session that assigns in
+    a tight loop: every binding must survive into the final local state."""
+    tags = 40
+    doc = {"root": {"seq": [{"assign": ["i", "0"]},
+                            {"while": {"cond": "i < 3000",
+                                       "body": {"assign": ["i", "i + 1"]}}}]},
+           "firing": True, "initiators": []}
+    tag_corr = corr(tag={f"k{j}": f"v{j}" for j in range(tags)})
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for seed in range(5):
+            e = engines(behaviour=parse_behaviour(doc), interface=iface(tag="OneWay"),
+                        correlation=tag_corr, seed=seed)
+            bound = [j for j in range(tags)
+                     if e.submit(Message("tag", State({f"k{j}": j}))).kind == "delivered"]
+            assert e.wait_all_finished(20.0)
+            _, _, local = e.session_view(1)
+            assert [j for j in bound if local.lookup(f"v{j}") != j] == [], f"seed {seed}"
+            e.stop()
+    finally:
+        sys.setswitchinterval(previous)
+
+
+def _wait_blocked(e: Engine, count: int) -> None:
+    deadline = time.monotonic() + 5.0
+    while time.monotonic() < deadline:
+        statuses = [e.session_view(sid)[0] for sid in e.session_ids()]
+        if statuses == ["blocked"] * count:
+            return
+        time.sleep(0.005)
+    raise AssertionError(f"sessions never blocked: {statuses}")
+
+
+def test_stop_ends_termination_handlers_that_never_end(engines):
+    doc = {"root": {"seq": [
+        {"receive": {"op": "open", "into": ""}},
+        {"scope": {"name": "s",
+                   "body": {"receive": {"op": "never", "into": ""}},
+                   "onTerminate": {"while": {"cond": "0 == 0", "body": "nil"}}}},
+    ]}, "firing": False, "initiators": ["open"]}
+    e = engines(behaviour=parse_behaviour(doc), interface=iface(open="OneWay", never="OneWay"),
+                correlation=corr(open={"id": "sid"}))
+    for ident in range(3):
+        assert e.submit(Message("open", State({"id": ident}))).kind == "created"
+    _wait_blocked(e, 3)
+    started = time.monotonic()
+    report = e.stop()
+    assert time.monotonic() - started < 5.0
+    assert not e._driver.is_alive()
+    assert sorted(report) == [1, 2, 3]
+    assert all(c is not None and c.kind == "terminated" for c in report.values()), report
+
+
+class _Handle:
+    """A reply handle that records every answer it is asked to send."""
+
+    def __init__(self):
+        self.answers = []
+
+    def send_response(self, request_id, op, payload):
+        self.answers.append((request_id, "response"))
+
+    def send_fault(self, request_id, op, fault_name):
+        self.answers.append((request_id, fault_name))
+
+
+def test_request_left_in_a_finished_sessions_mailbox_gets_a_fault(engines):
+    doc = {"root": {"seq": [{"receive": {"op": "calc", "into": "m"}},
+                            {"reply": {"op": "calc", "from": {"r": "m_a + m_b"}}}]},
+           "firing": False, "initiators": ["calc"]}
+    e = engines(behaviour=parse_behaviour(doc),
+                interface=Interface({"calc": OperationDecl("calc", "RequestResponse",
+                                                           MessageType(), MessageType())}))
+    handle = _Handle()
+    # Holding the engine lock keeps the driver from stepping between the two
+    # calls, so the second one (no correlation function: it matches any live
+    # session) lands in the first session's mailbox.
+    with e._lock:
+        first = e.submit(Message("calc", State({"a": 1, "b": 2}), channel_id=handle, request_id="1"))
+        second = e.submit(Message("calc", State({"a": 3, "b": 4}), channel_id=handle, request_id="2"))
+    assert (first.kind, second.kind) == ("created", "delivered")
+    assert second.session_id == first.session_id
+    assert e.wait_all_finished(2.0)
+    assert handle.answers == [("1", "response"), ("2", "SessionEnded")]
+
+
+def test_finished_sessions_leave_the_live_tables(engines):
+    doc = {"root": {"receive": {"op": "open", "into": ""}},
+           "firing": False, "initiators": ["open"]}
+    sink = []
+    e = engines(behaviour=parse_behaviour(doc), interface=iface(open="OneWay"),
+                correlation=corr(open={"id": "rid"}), event_sink=sink.append)
+    n = FINISHED_KEPT + 50
+    for ident in range(n):
+        assert e.submit(Message("open", State({"id": ident}))).kind == "created"
+    assert e.wait_all_finished(10.0)
+    assert e.live_session_count() == 0
+    ids = e.session_ids()  # the last FINISHED_KEPT to finish, in whatever order they did
+    assert len(ids) == FINISHED_KEPT and set(ids) <= set(range(1, n + 1))
+    status, completion, local = e.session_view(ids[-1])
+    assert (status, completion.kind, local.lookup("rid")) == ("finished", "success", ids[-1] - 1)
+    report = e.stop()
+    assert sorted(report) == e.session_ids()
+    # two threads emit (submit and the driver), so only the set is compared
+    assert len(sink) > len(e.events) == EVENTS_KEPT
+    assert {id(r) for r in e.events} <= {id(r) for r in sink}
+    assert e.events[-1] is sink[-1] and sink[-1]["event"] == "engine_stopped"
+
+
+def _per_post_costs(monkeypatch, live: int, posts: int = 20) -> tuple[float, float]:
+    """``correlates`` calls per post and ``SessionRunner.ready`` calls per
+    driver step, over posts to ``live`` open sessions."""
+    counts = Counter()
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(correlation, "correlates", counting("correlates", correlation.correlates))
+    monkeypatch.setattr(SessionRunner, "ready", counting("ready", SessionRunner.ready))
+    monkeypatch.setattr(SessionRunner, "step", counting("step", SessionRunner.step))
+    doc = {"root": {"seq": [
+        {"receive": {"op": "open", "into": ""}},
+        {"assign": ["n", "0"]},
+        {"while": {"cond": "n >= 0", "body": {"seq": [{"receive": {"op": "post", "into": ""}},
+                                                      {"assign": ["n", "n + 1"]}]}}},
+    ]}, "firing": False, "initiators": ["open"]}
+    e = Engine(behaviour=parse_behaviour(doc), interface=iface(open="OneWay", post="OneWay"),
+               correlation=corr(open={"token": "tok"}, post={"token": "tok"}),
+               watchdog_grace=3600.0).start()
+
+    def wait_idle():
+        # idle: no session is waiting to have its ready strands recomputed,
+        # and none has a ready strand
+        deadline = time.monotonic() + 30.0
+        while time.monotonic() < deadline:
+            with e._lock:
+                if not e._dirty and not e._ready:
+                    return
+            time.sleep(0.002)
+        raise AssertionError("engine never went idle")
+
+    try:
+        for token in range(live):
+            e.submit(Message("open", State({"token": token})))
+        wait_idle()
+        counts.clear()
+        for k in range(posts):
+            out = e.submit(Message("post", State({"token": k * live // posts})))
+            assert out.kind == "delivered"
+            wait_idle()
+        return counts["correlates"] / posts, counts["ready"] / counts["step"]
+    finally:
+        e.stop()
+
+
+def test_per_post_work_does_not_grow_with_live_sessions(monkeypatch):
+    small = _per_post_costs(monkeypatch, 100)
+    large = _per_post_costs(monkeypatch, 3000)
+    assert small == large
+    assert small[0] == 1.0

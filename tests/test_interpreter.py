@@ -6,7 +6,7 @@ from orchestra.behaviour import parse_behaviour
 from orchestra.correlation import Message
 from orchestra.errors import BudgetExceeded
 from orchestra.harness import ScriptedContext
-from orchestra.interpreter import run_session
+from orchestra.interpreter import SessionRunner, run_session
 from orchestra.state import State
 
 
@@ -239,3 +239,19 @@ def test_blocked_session_raises():
            "firing": False, "initiators": ["never"]}
     with pytest.raises(RuntimeError):
         run_session(parse_behaviour(doc), ScriptedContext())
+
+
+def test_finished_strands_leave_the_runner():
+    doc = {"seq": [{"assign": ["i", "0"]},
+                   {"while": {"cond": "i < 5000", "body": {"seq": [
+                       {"assign": ["i", "i + 1"]},
+                       {"par": [{"assign": ["a", "i"]}, {"assign": ["b", "i"]}]},
+                   ]}}}]}
+    runner = SessionRunner(parse_behaviour(doc).root, ScriptedContext())
+    longest = 0
+    while runner.completion is None:
+        runner.step(runner.ready()[0])
+        longest = max(longest, len(runner._strands))
+    assert runner.completion.kind == "success"
+    assert runner.ctx.local.lookup("a") == 5000
+    assert longest <= 3  # the root strand and one round's two children
