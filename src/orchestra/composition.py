@@ -27,7 +27,7 @@ from typing import Any
 
 from . import frames
 from .behaviour import BehaviourDef, parse_activity, validate_behaviour
-from .correlation import CorrelationConfig, Message
+from .correlation import CorrelationConfig
 from .deployment import (
     Connection, INPUT_KINDS, Interface, InputPort, InputPortListener,
     LocalLocation, Location, OperationDecl, OutputPort, OutputPortRuntime,
@@ -334,16 +334,7 @@ class Container:
 
     def bind(self, location: Location, on_channel):
         if isinstance(location, LocalLocation):
-            registry = self.registry
-            registry.bind(location.name, on_channel)
-
-            class _LocalListener:
-                port = None
-
-                def close(self) -> None:
-                    registry.unbind(location.name)
-
-            return _LocalListener()
+            return self.registry.bind(location.name, on_channel)
         return TcpListener(location.host, location.port, on_channel)
 
     def _engine_seed(self, service_name: str) -> int:
@@ -394,7 +385,7 @@ class Container:
         try:
             # listeners first: a firing session must not race its own ports
             for port in definition.input_ports:
-                listeners.append(InputPortListener(port, engine.submit, self.bind, Message))
+                listeners.append(InputPortListener(port, engine.submit, self.bind))
             engine.start()
         except Exception:
             for listener in listeners:
@@ -460,9 +451,8 @@ class Container:
             raise StartupError("gateway already served")
         loc = parse_location(location) if isinstance(location, str) else location
         self._gateway_listener = self.bind(loc, serve_frames(self.dispatch_gateway_frame))
-        bound_port = getattr(self._gateway_listener, "port", None)
-        if isinstance(loc, SocketLocation) and bound_port is not None:
-            loc = SocketLocation(loc.host, bound_port)
+        if isinstance(loc, SocketLocation):
+            loc = SocketLocation(loc.host, self._gateway_listener.port)
         self._gateway_loc = loc
 
     @property

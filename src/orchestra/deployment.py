@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import frames
+from .correlation import Message
 from .errors import (
     DecodeError, Fault, IO_FAULT, PROTOCOL_FAULT, StartupError, TYPE_FAULT,
     UNKNOWN_OPERATION, ValidationError,
@@ -426,12 +427,12 @@ def serve_frames(on_request: Callable[[Frame, ReplyHandle], None]) -> Callable:
 
 
 class InputPortListener:
-    """A served input port feeding decoded messages into an engine."""
+    """A served input port feeding decoded messages into ``sink``, an
+    engine's ``submit``."""
 
-    def __init__(self, port: InputPort, sink, binder: Binder, message_factory):
+    def __init__(self, port: InputPort, sink, binder: Binder):
         self.port = port
         self._sink = sink
-        self._message_factory = message_factory
         try:
             self._listener = binder(port.location, serve_frames(self._handle_request))
         except OSError as e:
@@ -439,9 +440,8 @@ class InputPortListener:
 
     @property
     def bound_location(self):
-        inner = getattr(self._listener, "port", None)
-        if inner is not None and isinstance(self.port.location, SocketLocation):
-            return SocketLocation(self.port.location.host, inner)
+        if isinstance(self.port.location, SocketLocation):
+            return SocketLocation(self.port.location.host, self._listener.port)
         return self.port.location
 
     def _handle_request(self, frame: Frame, handle: ReplyHandle) -> None:
@@ -454,15 +454,14 @@ class InputPortListener:
         except Fault as f:
             handle.send_fault(frame.id, frame.operation, f.name)
             return
-        msg = self._message_factory(
+        outcome = self._sink(Message(
             operation=frame.operation,
             payload=frame.payload,
             resource=frame.resource,
             channel_id=handle,
             request_id=frame.id,
-        )
-        outcome = self._sink(msg)
-        if getattr(outcome, "kind", None) == "rejected" and decl.kind == REQUEST_RESPONSE:
+        ))
+        if outcome.kind == "rejected" and decl.kind == REQUEST_RESPONSE:
             handle.send_fault(frame.id, frame.operation, outcome.fault)
 
     def close(self) -> None:

@@ -21,11 +21,16 @@ through ``Engine.global_read``, ``global_write``, ``global_add`` and
 
 Sessions execute on a single driver thread that repeatedly picks one
 ready (session, strand) pair with a seeded generator, so a fixed seed
-fixes every scheduling choice.  In sequential mode only one session is
-active at a time and the rest wait in a FIFO queue, which is exactly what
-lets call cycles deadlock; a watchdog reports that quiescence instead of
-hanging silently.  Between events the driver sleeps until the watchdog's
-next deadline.
+fixes every scheduling choice.  In sequential mode only the oldest live
+session runs and the younger ones wait for it to finish, which is exactly
+what lets call cycles deadlock; a watchdog reports that quiescence instead
+of hanging silently.  Between events the driver sleeps until the
+watchdog's next deadline.
+
+Every event record is built once and handed to one sink under the engine
+lock, so the records of all threads form one order and their ``ts`` never
+decreases.  The sink is ``event_sink`` when one is given, and otherwise
+the ring ``events``, which keeps the last ``EVENTS_KEPT`` records.
 
 The cost of one message does not grow with the number of sessions:
 
@@ -40,8 +45,7 @@ The cost of one message does not grow with the number of sessions:
   it, its start, or its end;
 * a finished session leaves the session table, the index and the ready
   pairs.  Its completion and final local state stay readable for the
-  last ``FINISHED_KEPT`` finished sessions, and ``events`` keeps the last
-  ``EVENTS_KEPT`` records; ``event_sink`` receives every record.
+  last ``FINISHED_KEPT`` finished sessions.
 """
 
 from __future__ import annotations
@@ -112,8 +116,7 @@ class Session(SessionContext):
         self.runner = SessionRunner(engine._behaviour.root, self)
 
     def status(self) -> str:
-        if self.completion is not None:
-            return "finished"
+        """The state of a live session."""
         if not self.started:
             return "created"
         if self.runner.ready():
@@ -219,20 +222,17 @@ class Engine:
         self._dirty: set[int] = set()
         self._next_sid = 0
         self._tokens = itertools.count(1)
-        self._ready_queue: deque[int] = deque()
-        self._active_sid: int | None = None
         self._globals: dict[str, Value] = {}
         self._globals_lock = threading.Lock()
         self.storage = Storage(storage_path) if storage_path else None
         self.events: deque[dict] = deque(maxlen=EVENTS_KEPT)
-        self._event_sink = event_sink
+        self._event_sink = event_sink or self.events.append
         self.watchdog_grace = watchdog_grace
         self.log_steps = log_steps
         self.deadlock_reports: list[dict] = []
         self._deadlock_flagged = False
         self._last_activity = time.monotonic()
-        self._started = False
-        self._started_event = threading.Event()
+        self._started = threading.Event()
         self._stop_requested = False
         self._driver: threading.Thread | None = None
         self.final_report: dict[int, Completion] | None = None
@@ -240,7 +240,7 @@ class Engine:
     # Lifecycle -----------------------------------------------------------
 
     def start(self) -> "Engine":
-        if self._started:
+        if self._started.is_set():
             raise StartupError("engine already started")
         for op in sorted(self._behaviour.initiators):
             kind = self._interface.kind_of(op)
@@ -249,19 +249,18 @@ class Engine:
         for op in self._correlation.functions:
             if self._interface.kind_of(op) not in INPUT_KINDS:
                 raise StartupError(f"correlation declared for non-input operation {op!r}")
-        self._started = True
         self._emit("engine_started", mode=self.mode)
         if self._behaviour.firing:
             with self._lock:
                 self._create_session_locked(EMPTY, firing=True)
         self._driver = threading.Thread(target=self._drive, daemon=True, name=f"engine-{self.name}")
         self._driver.start()
-        self._started_event.set()
+        self._started.set()
         return self
 
     def stop(self) -> dict[int, Completion]:
         """Terminate running sessions, discard global state, keep storage."""
-        if not self._started:
+        if not self._started.is_set():
             self.final_report = {}
             return {}
         with self._cond:
@@ -286,7 +285,7 @@ class Engine:
         A message may beat the engine's own start by a moment when
         listeners come up first; wait out that window instead of failing.
         """
-        if not self._started_event.wait(timeout=5.0):
+        if not self._started.wait(timeout=5.0):
             raise StartupError("engine not started")
         if self._stop_requested:
             return RoutingOutcome("rejected", fault=IO_FAULT)
@@ -316,9 +315,9 @@ class Engine:
                 outcome = RoutingOutcome("created", session.sid)
             else:
                 outcome = RoutingOutcome("rejected", fault=CORRELATION_ERROR)
+            self._emit("message_routed", session=outcome.session_id, op=m.operation,
+                       outcome=outcome.kind, fault=outcome.fault)
             self._cond.notify_all()
-        self._emit("message_routed", session=outcome.session_id, op=m.operation,
-                   outcome=outcome.kind, fault=outcome.fault)
         return outcome
 
     def _create_session_locked(self, local: State, firing: bool = False) -> Session:
@@ -327,13 +326,14 @@ class Engine:
         self._sessions[session.sid] = session
         self._index.add(session.sid, local)
         self._emit("session_created", session=session.sid, firing=firing)
-        if self.mode == SEQUENTIAL:
-            self._ready_queue.append(session.sid)
-        else:
-            session.started = True
-            self._dirty.add(session.sid)
-            self._emit("session_started", session=session.sid)
+        if self.mode == CONCURRENT:
+            self._start_session_locked(session)
         return session
+
+    def _start_session_locked(self, session: Session) -> None:
+        session.started = True
+        self._dirty.add(session.sid)
+        self._emit("session_started", session=session.sid)
 
     # Driver --------------------------------------------------------------
 
@@ -348,31 +348,26 @@ class Engine:
                     continue
                 sid, strand = pairs[self._rng.randrange(len(pairs))]
                 session = self._sessions[sid]
-            if self.log_steps:
-                self._emit("step", session=sid, strand=strand.sid)
+                if self.log_steps:
+                    self._emit("step", session=sid, strand=strand.sid)
             session.runner.step(strand)
             with self._cond:
                 self._touch_locked()
                 self._dirty.add(sid)
-                if session.runner.completion is not None and session.completion is None:
+                if session.runner.completion is not None:
                     self._finish_session_locked(session, session.runner.completion)
         self._terminate_all_sessions()
 
     def _ready_pairs_locked(self) -> list[tuple[int, Strand]]:
         """Every ready (session, strand) pair of the started sessions, in
         sid order and then spawn order.  In sequential mode the one started
-        session is the active one; when it has finished, the next queued
-        session starts."""
-        if self.mode == SEQUENTIAL and self._active_sid not in self._sessions:
-            self._active_sid = None
-            while self._ready_queue:
-                sid = self._ready_queue.popleft()
-                if sid in self._sessions:
-                    self._active_sid = sid
-                    self._sessions[sid].started = True
-                    self._dirty.add(sid)
-                    self._emit("session_started", session=sid)
-                    break
+        session is the oldest live one: before ``stop()`` only the driver
+        ends sessions, and it steps only started ones, so when the oldest
+        has finished the next oldest starts."""
+        if self.mode == SEQUENTIAL:
+            oldest = next(iter(self._sessions.values()), None)
+            if oldest is not None and not oldest.started:
+                self._start_session_locked(oldest)
         pairs = self._ready
         for sid in self._dirty:
             session = self._sessions.get(sid)
@@ -443,7 +438,8 @@ class Engine:
 
     def _check_deadlock_locked(self) -> float | None:
         """Flag quiescence that cannot resolve itself: blocked solicits or
-        sessions stuck behind a sequential queue, with nothing running.
+        sessions waiting behind the oldest in sequential mode, with nothing
+        running.
 
         Returns how long the idle driver may sleep before the check is due,
         or None when only a new event (which notifies) can change its answer.
@@ -515,10 +511,9 @@ class Engine:
             self._cond.notify_all()
 
     def _emit(self, event: str, session: int | None = None, **detail) -> None:
-        record = {"ts": time.time(), "session": session, "event": event, "detail": detail}
-        self.events.append(record)
-        if self._event_sink is not None:
-            self._event_sink(record)
+        with self._lock:
+            self._event_sink({"ts": time.time(), "session": session, "event": event,
+                              "detail": detail})
 
     # Observation -------------------------------------------------------------
 

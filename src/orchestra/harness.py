@@ -114,9 +114,9 @@ class RunOutcome:
     completion: Completion
 
 
-def _replay(behaviour: BehaviourDef, trace, choices: list[int]):
+def _replay(behaviour: BehaviourDef, trace, local: State, choices: list[int]):
     """Re-run from scratch following a choice prefix; report what is next."""
-    ctx = ScriptedContext(trace=list(trace))
+    ctx = ScriptedContext(local, trace=list(trace))
     runner = SessionRunner(behaviour.root, ctx)
     for choice in choices:
         ready = runner.ready()
@@ -136,10 +136,12 @@ def enumerate_interleavings(
     trace=(),
     max_steps: int = 64,
     total_budget: int = 500_000,
+    local: State = EMPTY,
 ) -> set[RunOutcome]:
     """All reachable (final state, completion) pairs over scheduler choices.
 
-    The whole message trace is available from the start.  Paths that have
+    Every run starts from the local state ``local``, and the whole message
+    trace is available from the start.  Paths that have
     not finished after ``max_steps`` choices count as divergent schedules
     and are dropped; exceeding ``total_budget`` replayed steps raises
     BudgetExceeded.
@@ -152,7 +154,7 @@ def enumerate_interleavings(
         spent += max(len(prefix), 1)
         if spent > total_budget:
             raise BudgetExceeded(f"interleaving exploration passed {total_budget} steps")
-        outcome, width = _replay(behaviour, trace, prefix)
+        outcome, width = _replay(behaviour, trace, local, prefix)
         if outcome is not None:
             outcomes.add(outcome)
             continue

@@ -203,15 +203,12 @@ class LocalRegistry:
         self._lock = threading.Lock()
         self._acceptors: dict[str, Callable[[MemoryChannel], None]] = {}
 
-    def bind(self, name: str, on_channel: Callable[[MemoryChannel], None]) -> None:
+    def bind(self, name: str, on_channel: Callable[[MemoryChannel], None]) -> "LocalListener":
         with self._lock:
             if name in self._acceptors:
                 raise StartupError(f"local location {name!r} already bound")
             self._acceptors[name] = on_channel
-
-    def unbind(self, name: str) -> None:
-        with self._lock:
-            self._acceptors.pop(name, None)
+        return LocalListener(self, name)
 
     def connect(self, name: str) -> MemoryChannel:
         with self._lock:
@@ -223,16 +220,26 @@ class LocalRegistry:
         return client
 
 
+class LocalListener:
+    """A name bound in a ``LocalRegistry``; ``close`` unbinds it."""
+
+    def __init__(self, registry: LocalRegistry, name: str):
+        self._registry = registry
+        self.name = name
+
+    def close(self) -> None:
+        with self._registry._lock:
+            self._registry._acceptors.pop(self.name, None)
+
+
 class TcpListener:
     """Accept loop on a TCP address; each connection becomes a channel."""
 
     def __init__(self, host: str, port: int, on_channel: Callable[[SocketChannel], None]):
         self._on_channel = on_channel
         try:
-            self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            self._sock.bind((host, port))
-            self._sock.listen(32)
+            # sets SO_REUSEADDR, and closes the socket when bind or listen fails
+            self._sock = socket.create_server((host, port), backlog=32)
         except OSError as e:
             raise StartupError(f"cannot bind {host}:{port}: {e}") from e
         self.host, self.port = self._sock.getsockname()[:2]

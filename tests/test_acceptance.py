@@ -21,7 +21,8 @@ from orchestra.deployment import Connection, sync_request
 from orchestra.engine import Engine
 from orchestra.frames import decode_frame, encode_frame
 from orchestra.harness import (
-    ScriptedContext, memnet_pair, oracle_correlates, random_oracle_triple,
+    ScriptedContext, enumerate_interleavings, memnet_pair, oracle_correlates,
+    random_oracle_triple,
 )
 from orchestra.interpreter import run_session
 from orchestra.state import EMPTY, State, UNDEFINED
@@ -376,7 +377,7 @@ def test_criterion_9_fault_semantics_against_enumeration():
         base = FAULT_LOCALS.get(name, {})
         enumerated = {
             (o.state, o.completion)
-            for o in enumerate_interleavings_with_local(behaviour, base)
+            for o in enumerate_interleavings(behaviour, local=State(base), max_steps=30)
         }
         assert enumerated, name
         for seed in range(30):
@@ -392,31 +393,3 @@ def test_criterion_9_fault_semantics_against_enumeration():
     _report(9, "seeded runs always land in the enumerated outcome set; "
                "compensation runs newest first")
 
-
-def enumerate_interleavings_with_local(behaviour, base_local):
-    from orchestra.harness import RunOutcome
-    from orchestra.interpreter import SessionRunner
-
-    outcomes = set()
-    stack = [[]]
-    spent = 0
-    while stack:
-        prefix = stack.pop()
-        spent += max(len(prefix), 1)
-        assert spent < 500_000
-        ctx = ScriptedContext(State(base_local))
-        runner = SessionRunner(behaviour.root, ctx)
-        for choice in prefix:
-            runner.step(runner.ready()[choice])
-            if runner.completion is not None:
-                break
-        if runner.completion is not None:
-            outcomes.add(RunOutcome(ctx.local, runner.completion))
-            continue
-        width = len(runner.ready())
-        assert width > 0
-        if len(prefix) >= 30:
-            continue
-        for choice in range(width):
-            stack.append(prefix + [choice])
-    return outcomes

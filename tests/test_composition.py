@@ -212,6 +212,36 @@ def test_redirect_overwrite_moves_new_calls(containers):
     assert second.payload.lookup("r") == 1002
 
 
+def test_gateway_relays_a_member_fault_under_the_client_frame_id(containers):
+    _, track = containers
+    c = track(Container())
+    failing = calculator_def("local://failing", "failing")
+    failing["behaviour"] = {"seq": [{"receive": {"op": "calc", "into": "m"}},
+                                    {"throw": "Boom"}]}
+    c.embed(failing)
+    c.set_redirect("F", "local://failing")
+    c.serve_gateway("local://gw")
+    channel = c.registry.connect("gw")
+    channel.send(frames.encode_frame(
+        frames.request_frame("client-7", "calc", calc_payload("sum", 1, 2, "f"), "F")))
+    answer = _read_answer(channel)
+    channel.close()
+    assert (answer.id, answer.type, answer.operation, answer.fault) == (
+        "client-7", "fault", "calc", "Boom")
+
+
+@pytest.mark.parametrize("target", ["local://nowhere", "socket://127.0.0.1:{port}"])
+def test_redirect_to_an_unreachable_target_answers_io_fault(containers, target):
+    _, track = containers
+    c = track(Container())
+    c.set_redirect("gone", target.format(port=free_port()))
+    c.serve_gateway("local://gw")
+    conn = Connection(c.registry.connect("gw"))
+    result = sync_request(conn, "calc", calc_payload("sum", 1, 2, "g"), resource="gone")
+    conn.close()
+    assert result.fault == "IOFault"
+
+
 def _op(name, kind="OneWay", **fields):
     return OperationDecl(name, kind, MessageType(tuple(fields.items())))
 

@@ -52,16 +52,8 @@ def rig():
                          interface=interface.restrict(
                              [n for n, d in interface.operations.items()
                               if d.kind in ("OneWay", "RequestResponse")]))
-
-        def binder(location, on_channel):
-            registry.bind(location.name, on_channel)
-
-            class _L:
-                def close(self_inner):
-                    registry.unbind(location.name)
-            return _L()
-
-        listeners.append(InputPortListener(port, engine.submit, binder, Message))
+        listeners.append(InputPortListener(
+            port, engine.submit, lambda loc, on_channel: registry.bind(loc.name, on_channel)))
         return engine
 
     def client(location_name, **kinds):
@@ -244,7 +236,7 @@ def test_over_real_sockets():
                      interface=interface.restrict(["echo", "drop", "boom"]))
     listener = InputPortListener(
         port, engine.submit,
-        lambda loc, cb: TcpListener(loc.host, loc.port, cb), Message)
+        lambda loc, cb: TcpListener(loc.host, loc.port, cb))
     bound = listener.bound_location
     out_port = OutputPort(name="out", location=bound, interface=out_iface(echo="SolicitResponse"))
     runtime = OutputPortRuntime(out_port, lambda loc: connect_socket(loc.host, loc.port))

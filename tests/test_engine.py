@@ -419,9 +419,8 @@ def test_request_left_in_a_finished_sessions_mailbox_gets_a_fault(engines):
 def test_finished_sessions_leave_the_live_tables(engines):
     doc = {"root": {"receive": {"op": "open", "into": ""}},
            "firing": False, "initiators": ["open"]}
-    sink = []
     e = engines(behaviour=parse_behaviour(doc), interface=iface(open="OneWay"),
-                correlation=corr(open={"id": "rid"}), event_sink=sink.append)
+                correlation=corr(open={"id": "rid"}))
     n = FINISHED_KEPT + 50
     for ident in range(n):
         assert e.submit(Message("open", State({"id": ident}))).kind == "created"
@@ -433,10 +432,34 @@ def test_finished_sessions_leave_the_live_tables(engines):
     assert (status, completion.kind, local.lookup("rid")) == ("finished", "success", ids[-1] - 1)
     report = e.stop()
     assert sorted(report) == e.session_ids()
-    # two threads emit (submit and the driver), so only the set is compared
-    assert len(sink) > len(e.events) == EVENTS_KEPT
-    assert {id(r) for r in e.events} <= {id(r) for r in sink}
-    assert e.events[-1] is sink[-1] and sink[-1]["event"] == "engine_stopped"
+    assert len(e.events) == EVENTS_KEPT
+    assert e.events[-1]["event"] == "engine_stopped"
+
+
+def test_sink_records_form_one_order(engines):
+    """A slow sink on the submitting thread must not let the driver's
+    records overtake it: each record is written under the engine lock."""
+    doc = {"root": {"receive": {"op": "open", "into": ""}},
+           "firing": False, "initiators": ["open"]}
+    sink = []
+
+    def slow_sink(record):
+        if record["event"] == "message_routed":
+            time.sleep(0.2)
+        sink.append(record)
+
+    e = engines(behaviour=parse_behaviour(doc), interface=iface(open="OneWay"),
+                correlation=corr(open={"id": "rid"}), event_sink=slow_sink)
+    sids = [e.submit(Message("open", State({"id": ident}))).session_id for ident in range(3)]
+    assert e.wait_all_finished(5.0)
+    e.stop()
+    assert not e.events  # the sink replaces the ring
+    assert [r["event"] for r in (sink[0], sink[-1])] == ["engine_started", "engine_stopped"]
+    for sid in sids:
+        mine = [r["event"] for r in sink if r["session"] == sid]
+        assert mine.index("message_routed") < mine.index("session_finished"), mine
+    stamps = [r["ts"] for r in sink]
+    assert stamps == sorted(stamps)
 
 
 def _per_post_costs(monkeypatch, live: int, posts: int = 20) -> tuple[float, float]:

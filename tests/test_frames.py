@@ -66,8 +66,9 @@ def test_decode_rejects_fault_on_response():
 
 
 def test_encode_rejects_non_finite_double():
-    with pytest.raises(EncodeError):
-        encode_frame(request_frame("1", "op", State({"d": float("inf")})))
+    for value in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(EncodeError):
+            encode_frame(request_frame("1", "op", State({"d": value})))
 
 
 def test_encode_rejects_mistyped_frames():

@@ -5,7 +5,7 @@ import pytest
 from orchestra.behaviour import parse_behaviour
 from orchestra.correlation import Message
 from orchestra.errors import BudgetExceeded
-from orchestra.harness import ScriptedContext
+from orchestra.harness import ScriptedContext, enumerate_interleavings
 from orchestra.interpreter import SessionRunner, run_session
 from orchestra.state import State
 
@@ -126,6 +126,27 @@ def test_nested_scopes_terminate_innermost_first():
         c, ctx = run(doc, local={"log": "", "go": 0}, seed=seed)
         assert c.kind == "success"
         assert ctx.local.lookup("log") == "io", f"seed {seed}: {ctx.local!r}"
+
+
+def test_termination_reaches_scopes_inside_a_nested_par():
+    """``Boom`` beside a scope ``o`` whose body is a ``par`` holding scope
+    ``i``: terminating ``o`` must reach through its ``par`` to ``i``, and
+    ``i``'s handler runs before ``o``'s.  A scope the scheduler never
+    entered stays silent, so ``''`` and ``'o'`` are reachable too."""
+    wait = {"receive": {"op": "never", "into": ""}}
+    doc = {"par": [
+        {"throw": "Boom"},
+        {"scope": {"name": "o",
+                   "body": {"par": [
+                       {"scope": {"name": "i", "body": wait,
+                                  "onTerminate": {"assign": ["log", "log + 'i'"]}}},
+                       wait,
+                   ]},
+                   "onTerminate": {"assign": ["log", "log + 'o'"]}}},
+    ]}
+    outcomes = enumerate_interleavings(parse_behaviour(doc), local=State({"log": ""}))
+    finals = {(o.state.lookup("log"), repr(o.completion)) for o in outcomes}
+    assert finals == {("", "fault(Boom)"), ("o", "fault(Boom)"), ("io", "fault(Boom)")}
 
 
 def test_faulting_termination_handler_surfaces_handler_fault():

@@ -1,12 +1,14 @@
 """Byte transports: channel identity and the line rule both share."""
 
+import os
 import socket
 import sys
 import threading
 
 import pytest
 
-from orchestra.transport import MemoryChannel, SocketChannel, memory_pair
+from orchestra.errors import StartupError
+from orchestra.transport import MemoryChannel, SocketChannel, TcpListener, memory_pair
 
 
 def _socket_pair():
@@ -52,3 +54,19 @@ def test_channel_names_stay_unique_across_threads():
     assert not any(t.is_alive() for t in threads)
     names = [name for out in per_thread for name in out]
     assert len(set(names)) == len(names) == 8000
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_failed_binds_leave_no_socket_open():
+    held = socket.create_server(("127.0.0.1", 0))
+    port = held.getsockname()[1]
+    errors = []  # kept, as a caller that reports them would keep them
+    try:
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(50):
+            with pytest.raises(StartupError) as caught:
+                TcpListener("127.0.0.1", port, lambda channel: None)
+            errors.append(caught.value)
+        assert len(os.listdir("/proc/self/fd")) <= before
+    finally:
+        held.close()
