@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from . import expressions
 from .errors import ParseError, ValidationError
 from .expressions import Expr
-from .state import is_valid_var_name
+from .state import is_text, is_valid_var_name
 
 
 @dataclass(frozen=True)
@@ -208,8 +208,9 @@ def parse_activity(doc) -> Activity:
             into,
         )
     if kind == "throw":
-        if not isinstance(body, str) or not body:
-            raise ParseError(f"throw: fault name must be a non-empty string, got {body!r}")
+        # the name travels in fault frames, so it must encode as UTF-8
+        if not isinstance(body, str) or not body or not is_text(body):
+            raise ParseError(f"throw: fault name must be a non-empty UTF-8 string, got {body!r}")
         return Throw(body)
     if kind == "scope":
         name = _require(body, "name", "scope")
@@ -235,8 +236,8 @@ def parse_activity(doc) -> Activity:
 
 
 def _op_name(raw) -> str:
-    if not isinstance(raw, str) or not raw:
-        raise ParseError(f"operation name must be a non-empty string, got {raw!r}")
+    if not isinstance(raw, str) or not raw or not is_text(raw):
+        raise ParseError(f"operation name must be a non-empty UTF-8 string, got {raw!r}")
     return raw
 
 

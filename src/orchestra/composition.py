@@ -8,7 +8,14 @@ A container runs one or more services.  Composition comes in four shapes:
 * redirecting: a gateway endpoint forwarding frames addressed by resource
   name to member services, relaying answers back id-correctly;
 * aggregation: the gateway publishes one merged interface and routes by
-  operation name, hiding the members entirely.
+  operation name to the first input port of a member that exposes the
+  operation, hiding the members entirely.
+
+The gateway relays over one upstream connection per target, reused and
+reopened by ``deployment.reconnect`` like an output port's.  Stopping a
+service closes the channels its input ports accepted, so the gateway and
+output ports reach a service re-embedded at the same location on their
+next call.
 
 All four can change at runtime.  Every container also serves a private
 control port (``local://_control``) with embed / unembed / setRedirect
@@ -29,9 +36,10 @@ from . import frames
 from .behaviour import BehaviourDef, parse_activity, validate_behaviour
 from .correlation import CorrelationConfig
 from .deployment import (
-    Connection, INPUT_KINDS, Interface, InputPort, InputPortListener,
+    Connection, FrameEndpoint, INPUT_KINDS, Interface, InputPort, InputPortListener,
     LocalLocation, Location, OperationDecl, OutputPort, OutputPortRuntime,
-    ReplyHandle, SocketLocation, parse_location, serve_frames,
+    PROTOCOL_ID, ReplyHandle, SocketLocation, bound_location, parse_location,
+    reconnect,
 )
 from .engine import CONCURRENT, Engine, SEQUENTIAL
 from .errors import (
@@ -174,32 +182,18 @@ def _parse_input_port(doc, interface: Interface, service: str) -> InputPort:
         name=doc.get("name", "in"),
         location=parse_location(doc.get("location", "")),
         interface=interface.restrict(ops),
-        protocol=doc.get("protocol", "frame/1"),
+        protocol=doc.get("protocol", PROTOCOL_ID),
     )
 
 
 def _parse_output_port(doc, service: str) -> OutputPort:
     if not isinstance(doc, dict):
         raise ValidationError(f"service {service!r}: output port must be an object")
-    ops_doc = doc.get("interface", {})
-    if isinstance(ops_doc, list):
-        raise ValidationError(
-            f"service {service!r}: output port interface must declare operation kinds")
-    ops = {}
-    for op_name, body in (ops_doc or {}).items():
-        from .deployment import MessageType
-        ops[op_name] = OperationDecl(
-            name=op_name,
-            kind=body.get("kind", "SolicitResponse") if isinstance(body, dict) else body,
-            request=MessageType.from_json_obj(body.get("request") if isinstance(body, dict) else None),
-            response=(MessageType.from_json_obj(body.get("response"))
-                      if isinstance(body, dict) and "response" in body else None),
-        )
     return OutputPort(
         name=doc.get("name", "out"),
         location=parse_location(doc.get("location", "")),
-        interface=Interface(ops),
-        protocol=doc.get("protocol", "frame/1"),
+        interface=Interface.from_json_obj(doc.get("interface")),
+        protocol=doc.get("protocol", PROTOCOL_ID),
         resource=doc.get("resource", ""),
     )
 
@@ -248,59 +242,22 @@ class RunningService:
         self.listeners = listeners
         self.outputs = outputs
 
-    def input_location(self) -> Location:
-        if not self.listeners:
-            raise ValidationError(
-                f"service {self.definition.name!r} has no input port to route to")
-        return self.listeners[0].bound_location
+    def location_of(self, op: str) -> Location | None:
+        """Where the first input port exposing ``op`` answers, if one does."""
+        for listener in self.listeners:
+            if op in listener.port.interface:
+                return listener.bound_location
+        return None
 
     def stop(self) -> None:
+        """Engine first, so the faults owed to callers still reach them and
+        termination handlers still have their output ports; then the input
+        ports with the channels they serve; then the output ports."""
+        self.engine.stop()
         for listener in self.listeners:
             listener.close()
         for runtime in self.outputs.values():
             runtime.close()
-        self.engine.stop()
-
-
-class _Relay:
-    """Forwards request frames to targets, relaying answers id-correctly.
-
-    Each client keeps its own frame ids; the relay multiplexes onto one
-    upstream connection per target with fresh ids and maps the answers
-    back.  This is also the seam where a protocol transformation would
-    plug in if a second wire protocol existed.
-    """
-
-    def __init__(self, connector):
-        self._connector = connector
-        self._lock = threading.Lock()
-        self._connections: dict[str, Connection] = {}
-
-    def forward(self, target: Location, frame: frames.Frame, handle: ReplyHandle,
-                resource: str = "") -> None:
-        key = str(target)
-        try:
-            with self._lock:
-                conn = self._connections.get(key)
-                if conn is None or conn.dead:
-                    conn = Connection(self._connector(target))
-                    self._connections[key] = conn
-
-            def on_result(result):
-                if result.fault is not None:
-                    handle.send_fault(frame.id, frame.operation, result.fault)
-                else:
-                    handle.send_response(frame.id, frame.operation, result.payload)
-
-            conn.send_request(frame.operation, frame.payload, resource, on_result)
-        except (OSError, Fault):
-            handle.send_fault(frame.id, frame.operation, "IOFault")
-
-    def close(self) -> None:
-        with self._lock:
-            for conn in self._connections.values():
-                conn.close()
-            self._connections.clear()
 
 
 class Container:
@@ -319,10 +276,13 @@ class Container:
         self._event_sink = event_sink
         self._watchdog_grace = watchdog_grace
         self._table_lock = threading.Lock()
-        self._gateway_listener = None
+        self._gateway: FrameEndpoint | None = None
         self._gateway_loc: Location | None = None
-        self._relay = _Relay(self.connect)
-        self._control_listener = None
+        # one upstream connection per gateway target, under its own lock so
+        # a slow connect never holds up reads of the redirect table
+        self._upstream: dict[Location, Connection] = {}
+        self._upstream_lock = threading.Lock()
+        self._control: FrameEndpoint | None = None
         self._stopped = False
 
     # Wiring ---------------------------------------------------------------
@@ -398,7 +358,7 @@ class Container:
             self.embedded.add(definition.name)
         return running
 
-    def embed(self, mobile: "ServiceDef | str | dict", as_name: str | None = None) -> str:
+    def embed(self, mobile: "ServiceDef | str | dict") -> str:
         """Run a service definition inside this container, local ports only."""
         if isinstance(mobile, str):
             definition = parse_service(mobile)
@@ -406,9 +366,6 @@ class Container:
             definition = ServiceDef.from_json_obj(mobile)
         else:
             definition = mobile
-        if as_name is not None and as_name != definition.name:
-            raise ValidationError(
-                f"embed name {as_name!r} does not match the definition's name {definition.name!r}")
         self.start_service(definition, embedded=True)
         return definition.name
 
@@ -436,9 +393,9 @@ class Container:
             running = self.services.get(service_name)
             if running is None:
                 raise UnknownService(f"aggregation maps {op!r} to unknown service {service_name!r}")
-            if op not in running.definition.interface:
+            if running.location_of(op) is None:
                 raise ValidationError(
-                    f"aggregation maps {op!r} to {service_name!r}, which does not declare it")
+                    f"aggregation maps {op!r} to {service_name!r}, whose input ports lack it")
             parts.append(Interface({op: running.definition.interface.get(op)}))
         published = merge_interfaces(parts).restrict(publish)
         with self._table_lock:
@@ -447,13 +404,11 @@ class Container:
     # Gateway serving ---------------------------------------------------------
 
     def serve_gateway(self, location: str | Location) -> None:
-        if self._gateway_listener is not None:
+        if self._gateway is not None:
             raise StartupError("gateway already served")
         loc = parse_location(location) if isinstance(location, str) else location
-        self._gateway_listener = self.bind(loc, serve_frames(self.dispatch_gateway_frame))
-        if isinstance(loc, SocketLocation):
-            loc = SocketLocation(loc.host, self._gateway_listener.port)
-        self._gateway_loc = loc
+        self._gateway = FrameEndpoint(loc, self.bind, self.dispatch_gateway_frame)
+        self._gateway_loc = bound_location(loc, self._gateway.listener)
 
     @property
     def gateway_location(self) -> Location | None:
@@ -467,7 +422,7 @@ class Container:
             if target is None:
                 handle.send_fault(frame.id, frame.operation, UNKNOWN_RESOURCE)
                 return
-            self._relay.forward(target, frame, handle)
+            self._forward(target, frame, handle)
             return
         with self._table_lock:
             aggregation = self.aggregation
@@ -482,14 +437,36 @@ class Container:
         if running is None:
             handle.send_fault(frame.id, frame.operation, UNKNOWN_SERVICE_FAULT)
             return
-        self._relay.forward(running.input_location(), frame, handle)
+        target = running.location_of(frame.operation)
+        if target is None:
+            handle.send_fault(frame.id, frame.operation, UNKNOWN_OPERATION)
+            return
+        self._forward(target, frame, handle)
+
+    def _forward(self, target: Location, frame: frames.Frame, handle: ReplyHandle) -> None:
+        """Relay a request upstream under a fresh id; its answer goes back
+        under the client's id."""
+
+        def on_result(result) -> None:
+            if result.fault is not None:
+                handle.send_fault(frame.id, frame.operation, result.fault)
+            else:
+                handle.send_response(frame.id, frame.operation, result.payload)
+
+        try:
+            with self._upstream_lock:
+                conn = self._upstream[target] = reconnect(
+                    self._upstream.get(target), self.connect, target)
+            conn.send_request(frame.operation, frame.payload, "", on_result)
+        except Fault as f:
+            handle.send_fault(frame.id, frame.operation, f.name)
 
     # Control service ----------------------------------------------------------
 
     def serve_control(self) -> None:
-        if self._control_listener is None:
-            self._control_listener = self.bind(LocalLocation(CONTROL_LOCATION),
-                                               serve_frames(self._control_request))
+        if self._control is None:
+            self._control = FrameEndpoint(LocalLocation(CONTROL_LOCATION), self.bind,
+                                          self._control_request)
 
     def _control_request(self, frame: frames.Frame, handle: ReplyHandle) -> None:
         payload = frame.payload
@@ -527,10 +504,13 @@ class Container:
         if self._stopped:
             return
         self._stopped = True
-        for listener in (self._gateway_listener, self._control_listener):
-            if listener is not None:
-                listener.close()
-        self._relay.close()
+        for endpoint in (self._gateway, self._control):
+            if endpoint is not None:
+                endpoint.close()
+        with self._upstream_lock:
+            for conn in self._upstream.values():
+                conn.close()
+            self._upstream.clear()
         for running in list(self.services.values()):
             running.stop()
 

@@ -7,9 +7,20 @@ operations (Notification, Solicit-Response) to the location of the
 service they invoke.
 
 One protocol is built in, ``frame/1`` (see ``frames``), usable over TCP
-sockets and over in-container local channels.  Output ports keep a single
-connection per target and multiplex calls on it by frame id; responses
-are matched back to their callers no matter the order they arrive in.
+sockets and over in-container local channels; a port naming any other
+protocol is rejected.  Output ports keep a single connection per target
+and multiplex calls on it by frame id; responses are matched back to
+their callers no matter the order they arrive in.
+
+Each rule of the wire has one home here, shared by the serving and the
+calling end and by the container gateway:
+
+* ``read_frames``: how a channel's lines become frames;
+* ``reconnect``: when a connection is reused and when a new one opens;
+* ``bound_location``: where a listener bound to port 0 answers;
+* ``FrameEndpoint``: serving a location, one thread per accepted channel;
+  closing it also closes the channels it still serves, so their peers
+  see EOF and reconnect instead of talking to a stopped service.
 """
 
 from __future__ import annotations
@@ -17,13 +28,13 @@ from __future__ import annotations
 import itertools
 import threading
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import frames
 from .correlation import Message
 from .errors import (
-    DecodeError, Fault, IO_FAULT, PROTOCOL_FAULT, StartupError, TYPE_FAULT,
-    UNKNOWN_OPERATION, ValidationError,
+    DecodeError, Fault, IO_FAULT, PROTOCOL_FAULT, TYPE_FAULT, UNKNOWN_OPERATION,
+    ValidationError,
 )
 from .frames import Frame
 from .interpreter import CallResult
@@ -188,6 +199,12 @@ def parse_location(text: str) -> Location:
     raise ValidationError(f"unknown location scheme in {text!r}")
 
 
+def _check_protocol(side: str, name: str, protocol: str) -> None:
+    if protocol != PROTOCOL_ID:
+        raise ValidationError(
+            f"{side} port {name!r} speaks {protocol!r}; only {PROTOCOL_ID!r} is built in")
+
+
 @dataclass(frozen=True)
 class InputPort:
     name: str
@@ -196,6 +213,7 @@ class InputPort:
     protocol: str = PROTOCOL_ID
 
     def __post_init__(self):
+        _check_protocol("input", self.name, self.protocol)
         for decl in self.interface.operations.values():
             if decl.kind not in INPUT_KINDS:
                 raise ValidationError(
@@ -212,6 +230,7 @@ class OutputPort:
     resource: str = ""
 
     def __post_init__(self):
+        _check_protocol("output", self.name, self.protocol)
         for decl in self.interface.operations.values():
             if decl.kind not in OUTPUT_KINDS:
                 raise ValidationError(
@@ -222,6 +241,33 @@ class OutputPort:
 # A connector opens a channel to a location; a binder listens at one.
 Connector = Callable[[Location], object]
 Binder = Callable[[Location, Callable], object]
+
+
+def read_frames(channel) -> Iterator[tuple[bytes, Frame | None]]:
+    """Each non-blank line of ``channel`` with its frame, or ``None`` when
+    the line does not decode; ends at EOF or a read error."""
+    while True:
+        try:
+            line = channel.recv_line()
+        except OSError:
+            return
+        if line is None:
+            return
+        if not line.strip():
+            continue
+        try:
+            frame = frames.decode_frame(line)
+        except DecodeError:
+            frame = None
+        yield line, frame
+
+
+def bound_location(location: Location, listener) -> Location:
+    """Where ``listener``, bound at ``location``, answers: a socket bound to
+    port 0 answers at the port the system picked."""
+    if isinstance(location, SocketLocation):
+        return SocketLocation(location.host, listener.port)
+    return location
 
 
 class Connection:
@@ -263,19 +309,11 @@ class Connection:
             self._waiters.pop(frame_id, None)
 
     def _read_loop(self) -> None:
-        while True:
-            try:
-                line = self.channel.recv_line()
-            except OSError:
-                line = None
-            if line is None:
-                break
-            try:
-                frame = frames.decode_frame(line)
-            except DecodeError:
+        # undecodable lines and requests (which never belong on an outbound
+        # connection) are dropped
+        for _, frame in read_frames(self.channel):
+            if frame is None or frame.type == frames.REQUEST:
                 continue
-            if frame.type == frames.REQUEST:
-                continue  # requests never arrive on an outbound connection
             with self._lock:
                 waiter = self._waiters.pop(frame.id, None)
             if waiter is None:
@@ -296,6 +334,19 @@ class Connection:
 
     def close(self) -> None:
         self.channel.close()
+
+
+def reconnect(conn: Connection | None, connector: Connector, location: Location) -> Connection:
+    """``conn`` while it lives, otherwise a new connection to ``location``;
+    a failed connect is ``IOFault``.  The caller holds the lock guarding
+    where it keeps the connection."""
+    if conn is not None and not conn.dead:
+        return conn
+    try:
+        channel = connector(location)
+    except OSError as e:
+        raise Fault(IO_FAULT, f"cannot reach {location}: {e}") from e
+    return Connection(channel)
 
 
 def sync_request(conn: Connection, op: str, payload: State, resource: str = "",
@@ -334,12 +385,7 @@ class OutputPortRuntime:
 
     def _connection(self) -> Connection:
         with self._conn_lock:
-            if self._conn is None or self._conn.dead:
-                try:
-                    channel = self._connector(self.port.location)
-                except OSError as e:
-                    raise Fault(IO_FAULT, f"cannot reach {self.port.location}: {e}") from e
-                self._conn = Connection(channel)
+            self._conn = reconnect(self._conn, self._connector, self.port.location)
             return self._conn
 
     def notify(self, op: str, payload: State) -> None:
@@ -391,39 +437,49 @@ class ReplyHandle:
             pass  # peer is gone; nothing left to answer
 
 
-def serve_frames(on_request: Callable[[Frame, ReplyHandle], None]) -> Callable:
-    """A channel acceptor that hands each request frame to ``on_request``.
+class FrameEndpoint:
+    """A location served by handing each request frame to ``on_request``.
 
     Each accepted channel gets its own daemon thread and ``ReplyHandle``.
-    Whitespace-only lines are skipped; any other line that is not a request
-    frame is answered with ``ProtocolFault`` under the id salvaged from it,
-    and the channel stays open.
+    A line ``read_frames`` yields that is not a request frame is answered
+    with ``ProtocolFault`` under the id salvaged from it, and the channel
+    stays open.  ``close`` stops listening and closes every channel still
+    served.
     """
 
-    def serve(channel) -> None:
+    def __init__(self, location: Location, bind: Binder,
+                 on_request: Callable[[Frame, ReplyHandle], None]):
+        self._on_request = on_request
+        self._lock = threading.Lock()
+        self._channels: set = set()
+        self._closed = False
+        self.listener = bind(location, self._accept)
+
+    def _accept(self, channel) -> None:
+        with self._lock:
+            if self._closed:
+                channel.close()
+                return
+            self._channels.add(channel)
+        threading.Thread(target=self._serve, args=(channel,), daemon=True).start()
+
+    def _serve(self, channel) -> None:
         handle = ReplyHandle(channel)
-        while True:
-            try:
-                line = channel.recv_line()
-            except OSError:
-                return
-            if line is None:
-                return
-            if not line.strip():
-                continue
-            try:
-                frame = frames.decode_frame(line)
-                if frame.type != frames.REQUEST:
-                    raise DecodeError(f"expected a request frame, got {frame.type}")
-            except DecodeError:
+        for line, frame in read_frames(channel):
+            if frame is None or frame.type != frames.REQUEST:
                 handle.send_fault(frames.salvage_request_id(line), "", PROTOCOL_FAULT)
-                continue
-            on_request(frame, handle)
+            else:
+                self._on_request(frame, handle)
+        with self._lock:
+            self._channels.discard(channel)
 
-    def accept(channel) -> None:
-        threading.Thread(target=serve, args=(channel,), daemon=True).start()
-
-    return accept
+    def close(self) -> None:
+        self.listener.close()
+        with self._lock:
+            self._closed = True
+            channels, self._channels = self._channels, set()
+        for channel in channels:
+            channel.close()
 
 
 class InputPortListener:
@@ -433,16 +489,11 @@ class InputPortListener:
     def __init__(self, port: InputPort, sink, binder: Binder):
         self.port = port
         self._sink = sink
-        try:
-            self._listener = binder(port.location, serve_frames(self._handle_request))
-        except OSError as e:
-            raise StartupError(f"cannot serve {port.location}: {e}") from e
+        self._endpoint = FrameEndpoint(port.location, binder, self._handle_request)
 
     @property
-    def bound_location(self):
-        if isinstance(self.port.location, SocketLocation):
-            return SocketLocation(self.port.location.host, self._listener.port)
-        return self.port.location
+    def bound_location(self) -> Location:
+        return bound_location(self.port.location, self._endpoint.listener)
 
     def _handle_request(self, frame: Frame, handle: ReplyHandle) -> None:
         decl = self.port.interface.get(frame.operation)
@@ -465,4 +516,4 @@ class InputPortListener:
             handle.send_fault(frame.id, frame.operation, outcome.fault)
 
     def close(self) -> None:
-        self._listener.close()
+        self._endpoint.close()

@@ -13,12 +13,15 @@ grammar has one canonical precedence table, lowest first:
     literals, variables, ( )
 
 Literals: integers (``42``), doubles (``4.2``, ``1e3``), strings in single
-or double quotes, ``true``/``false``.  Evaluation is strict and total over
+or double quotes, ``true``/``false``.  A literal must be a value: an
+integer past 64 bits, a double that overflows (``1e400``) or a string
+holding a lone surrogate does not parse.  Evaluation is strict and total over
 the four value variants; errors surface as named faults:
 
 * ``UndefinedVariable``  reading an unbound variable
 * ``DivisionByZero``     dividing by integer 0 or double 0.0
-* ``TypeFault``          operand variant mismatch, or 64-bit overflow
+* ``TypeFault``          operand variant mismatch, 64-bit overflow, or a
+                         double result that is not finite
 
 Integer division truncates toward zero.  ``+`` concatenates two strings.
 ``==``/``!=`` never fault: values of different variants are simply unequal.
@@ -26,11 +29,12 @@ Integer division truncates toward zero.  ``+`` concatenates two strings.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
 from .errors import DIVISION_BY_ZERO, TYPE_FAULT, UNDEFINED_VARIABLE, Fault, ParseError
-from .state import INT64_MAX, INT64_MIN, State, UNDEFINED, Value, values_equal
+from .state import INT64_MAX, INT64_MIN, State, UNDEFINED, Value, is_text, values_equal
 
 
 @dataclass(frozen=True)
@@ -199,13 +203,19 @@ class _Parser:
         kind, text = self.take()
         if kind == "number":
             if "." in text or "e" in text or "E" in text:
-                return Lit(float(text))
+                value = float(text)
+                if not math.isfinite(value):
+                    raise ParseError(f"double literal out of range: {text}")
+                return Lit(value)
             n = int(text)
             if n > INT64_MAX:
                 raise ParseError(f"integer literal out of range: {text}")
             return Lit(n)
         if kind == "string":
-            return Lit(_unquote(text))
+            value = _unquote(text)
+            if not is_text(value):
+                raise ParseError(f"string literal does not encode as UTF-8: {text!r}")
+            return Lit(value)
         if kind == "name":
             if text == "true":
                 return Lit(True)
@@ -232,6 +242,12 @@ def _check_int64(n: int) -> int:
     if not (INT64_MIN <= n <= INT64_MAX):
         raise Fault(TYPE_FAULT, "integer overflow past 64 bits")
     return n
+
+
+def _check_double(x: float) -> float:
+    if not math.isfinite(x):
+        raise Fault(TYPE_FAULT, "double result is not finite")
+    return x
 
 
 def _trunc_div(a: int, b: int) -> int:
@@ -263,18 +279,18 @@ def _eval_binary(op: str, a: Value, b: Value) -> Value:
         if type(a) is str and type(b) is str:
             return a + b
         kind = _numeric_pair(op, a, b)
-        return _check_int64(a + b) if kind == "int" else a + b
+        return _check_int64(a + b) if kind == "int" else _check_double(a + b)
     if op in ("-", "*"):
         kind = _numeric_pair(op, a, b)
         r = a - b if op == "-" else a * b
-        return _check_int64(r) if kind == "int" else r
+        return _check_int64(r) if kind == "int" else _check_double(r)
     if op == "/":
         kind = _numeric_pair(op, a, b)
         if b == 0:
             raise Fault(DIVISION_BY_ZERO)
         if kind == "int":
             return _check_int64(_trunc_div(a, b))
-        return a / b
+        return _check_double(a / b)
     if op in _COMPARISONS:
         ta, tb = type(a), type(b)
         if ta is not tb or ta is bool:

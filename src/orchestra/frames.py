@@ -69,9 +69,9 @@ def encode_frame(f: Frame) -> bytes:
         obj["fault"] = f.fault
     try:
         text = json.dumps(obj, separators=(",", ":"), ensure_ascii=False, allow_nan=False)
-    except (TypeError, ValueError) as e:
+        return text.encode("utf-8") + b"\n"
+    except (TypeError, ValueError) as e:  # UnicodeEncodeError is a ValueError
         raise EncodeError(str(e)) from e
-    return text.encode("utf-8") + b"\n"
 
 
 def decode_frame(line: bytes) -> Frame:
@@ -92,11 +92,12 @@ def decode_frame(line: bytes) -> Frame:
     if ftype not in _TYPES:
         raise DecodeError(f"unknown frame type {ftype!r}")
     for key in ("id", "operation", "resource"):
-        if not isinstance(obj[key], str):
-            raise DecodeError(f"frame {key} must be a string")
+        if not isinstance(obj[key], str) or not state.is_text(obj[key]):
+            raise DecodeError(f"frame {key} must be a UTF-8 string")
     if ftype == FAULT:
-        if not isinstance(obj.get("fault"), str) or not obj["fault"]:
-            raise DecodeError("fault frame needs a non-empty fault name")
+        fault = obj.get("fault")
+        if not isinstance(fault, str) or not fault or not state.is_text(fault):
+            raise DecodeError("fault frame needs a non-empty UTF-8 fault name")
     elif "fault" in obj:
         raise DecodeError(f"{ftype} frame must not carry a fault key")
     try:
@@ -113,6 +114,7 @@ def salvage_request_id(line: bytes) -> str:
         obj = json.loads(line.decode("utf-8", errors="replace"))
     except json.JSONDecodeError:
         return ""
-    if isinstance(obj, dict) and isinstance(obj.get("id"), str):
-        return obj["id"]
+    frame_id = obj.get("id") if isinstance(obj, dict) else None
+    if isinstance(frame_id, str) and state.is_text(frame_id):
+        return frame_id
     return ""

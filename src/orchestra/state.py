@@ -1,7 +1,9 @@
 """The state algebra: flat, immutable variable-to-value mappings.
 
 A state maps variable names to scalar values.  Four value variants exist:
-UTF-8 strings, signed 64-bit integers, IEEE-754 doubles, and booleans.
+strings that encode as UTF-8 (so no lone surrogates), signed 64-bit
+integers, finite IEEE-754 doubles, and booleans: exactly what a frame can
+carry.
 Equality is exact per variant: the integer ``1`` and the double ``1.0``
 never compare equal, and neither compares equal to ``True``.
 
@@ -15,6 +17,7 @@ safe to share between threads and to embed in messages.
 from __future__ import annotations
 
 import json
+import math
 import re
 from typing import Any, Iterator
 
@@ -72,11 +75,31 @@ def value_kind(v: Value) -> str:
     raise ValidationError(f"not a value: {v!r} ({t.__name__})")
 
 
+def is_text(s: str) -> bool:
+    """Whether ``s`` encodes as UTF-8: true unless it holds a lone surrogate."""
+    if s.isascii():
+        return True
+    try:
+        s.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def check_value(v: Any) -> Value:
     """Validate a raw Python object as a storable value."""
-    kind = value_kind(v)
-    if kind == "int" and not (INT64_MIN <= v <= INT64_MAX):
-        raise ValidationError(f"integer out of 64-bit range: {v}")
+    t = type(v)
+    if t is str:
+        if not is_text(v):
+            raise ValidationError(f"string does not encode as UTF-8: {v!r}")
+    elif t is int:
+        if not (INT64_MIN <= v <= INT64_MAX):
+            raise ValidationError(f"integer out of 64-bit range: {v}")
+    elif t is float:
+        if not math.isfinite(v):
+            raise ValidationError(f"double is not finite: {v}")
+    elif t is not bool:
+        raise ValidationError(f"not a value: {v!r} ({t.__name__})")
     return v
 
 

@@ -99,7 +99,9 @@ def test_receive_reply_receive_is_fine():
     {"assign": ["a", 1]},
     {"if": {"then": "nil"}},
     {"throw": ""},
+    {"throw": "\ud800"},
     {"receive": {"op": "x", "into": "a.b"}},
+    {"notify": {"port": "p", "op": "\ud800", "payload": {}}},
     {"mystery": []},
     "nope",
     {"seq": [], "par": []},

@@ -2,6 +2,7 @@
 
 import json
 import threading
+import time
 
 import pytest
 
@@ -15,8 +16,9 @@ from orchestra.deployment import (
     Connection, Interface, MessageType, OperationDecl, sync_request,
 )
 from orchestra.errors import (
-    InterfaceClash, NameClash, UnknownService, ValidationError,
+    Fault, InterfaceClash, NameClash, UnknownService, ValidationError,
 )
+from orchestra.interpreter import CallResult
 from orchestra.state import State
 from orchestra.transport import SOCKET_BYTES
 
@@ -404,3 +406,94 @@ def test_serving_endpoints_share_the_line_rule(containers, endpoint, request_fra
     answer = _read_answer(channel)
     channel.close()
     assert (answer.id, answer.type) == ("7", "response")
+
+
+def _caller_def(target):
+    return {
+        "name": "caller", "interface": {}, "behaviour": "nil",
+        "engine": {"mode": "concurrent", "firing": True, "initiators": []},
+        "outputPorts": [{"name": "toCalc", "location": target,
+                         "interface": {"calc": {"kind": "SolicitResponse"}}}],
+    }
+
+
+@pytest.mark.parametrize("ports, build", [
+    ("inputPorts", lambda: calculator_def("local://calc", "calc")),
+    ("outputPorts", lambda: _caller_def("local://calc")),
+])
+def test_a_port_declaring_another_protocol_does_not_load(ports, build):
+    definition = build()
+    definition[ports][0]["protocol"] = "soap/1.1"
+    with pytest.raises(ValidationError):
+        ServiceDef.from_json_obj(definition)
+    definition[ports][0]["protocol"] = "frame/1"
+    ServiceDef.from_json_obj(definition)
+
+
+@pytest.mark.parametrize("route", ["gateway-redirect", "output-port"])
+def test_a_re_embedded_service_is_reached_again(containers, route):
+    _, track = containers
+    c = track(Container())
+    c.embed(calculator_def("local://calc", "calc"))
+    if route == "gateway-redirect":
+        c.set_redirect("R", "local://calc")
+        c.serve_gateway("local://gw")
+        conn = Connection(c.registry.connect("gw"))
+
+        def call(n):
+            return sync_request(conn, "calc", calc_payload("sum", n, 1, f"r{n}"),
+                                resource="R", timeout=5.0)
+    else:
+        c.embed(_caller_def("local://calc"))
+        out = c.services["caller"].outputs["toCalc"]
+
+        def call(n):
+            try:
+                return CallResult(payload=out.solicit(
+                    "calc", calc_payload("sum", n, 1, f"r{n}"), timeout=5.0))
+            except Fault as f:
+                return CallResult(fault=f.name)
+
+    assert call(1).payload.lookup("r") == 2
+    c.unembed("calc")
+    c.embed(calculator_def("local://calc", "calc"))
+    # the first call may still meet the old connection before its EOF lands
+    for n in range(2, 7):
+        result = call(n)
+        if result.fault is None:
+            break
+        assert result.fault == "IOFault"
+        time.sleep(0.05)
+    assert result.fault is None and result.payload.lookup("r") == n + 1
+
+
+def test_aggregation_needs_a_port_that_exposes_the_operation(containers):
+    _, track = containers
+    c = track(Container())
+    portless = _echo_def("portless", "op1", "local://unused", "P")
+    del portless["inputPorts"]
+    c.embed(portless)
+    with pytest.raises(ValidationError):
+        c.set_aggregation(["op1"], {"op1": "portless"})
+
+
+def test_aggregation_forwards_to_the_port_that_exposes_the_operation(containers):
+    _, track = containers
+    c = track(Container())
+    two_ports = _echo_def("two", "op1", "local://second", "T")
+    two_ports["interface"]["op0"] = {"kind": "OneWay"}
+    two_ports["inputPorts"].insert(0, {"name": "first", "location": "local://first",
+                                       "interface": ["op0"]})
+    c.embed(two_ports)
+    c.set_aggregation(["op1"], {"op1": "two"})
+    c.serve_gateway("local://agg")
+    conn = Connection(c.registry.connect("agg"))
+    found = sync_request(conn, "op1", State({"rid": "x"}), timeout=5.0)
+    # re-embedded without a port for op1: the gateway has nowhere to send it
+    c.unembed("two")
+    del two_ports["inputPorts"][1]
+    c.embed(two_ports)
+    gone = sync_request(conn, "op1", State({"rid": "y"}), timeout=5.0)
+    conn.close()
+    assert found.payload.lookup("who") == "T"
+    assert gone.fault == "UnknownOperation"

@@ -9,7 +9,8 @@ from orchestra import frames
 from orchestra.behaviour import parse_behaviour
 from orchestra.correlation import CorrelationConfig, CorrelationFunction, Message
 from orchestra.deployment import (
-    Connection, Interface, InputPort, InputPortListener, LocalLocation, MessageType,
+    Connection, FrameEndpoint, Interface, InputPort, InputPortListener, LocalLocation,
+    MessageType,
     OperationDecl, OutputPort, OutputPortRuntime, SocketLocation, parse_location,
     sync_request,
 )
@@ -318,3 +319,101 @@ def test_port_kind_discipline():
     with pytest.raises(ValidationError):
         OutputPort(name="out", location=LocalLocation("x"),
                    interface=ECHO_IFACE.restrict(["echo"]))
+
+
+# Values a frame cannot carry: every case must get an answer, and the
+# service must keep answering after it.
+
+ECHO_ANY_IFACE = Interface({
+    "echo": OperationDecl("echo", "RequestResponse", MessageType(), MessageType()),
+})
+ECHO_ANY_DOC = {"root": {"seq": [
+    {"receive": {"op": "echo", "into": "m"}},
+    {"reply": {"op": "echo", "from": {"v": "m_v"}}},
+]}, "firing": False, "initiators": ["echo"]}
+SCALE_IFACE = Interface({
+    "scale": OperationDecl("scale", "RequestResponse", MessageType((("x", "double"),)),
+                           MessageType()),
+})
+SCALE_DOC = {"root": {"seq": [
+    {"receive": {"op": "scale", "into": "m"}},
+    {"reply": {"op": "scale", "from": {"r": "m_x * 10.0"}}},
+]}, "firing": False, "initiators": ["scale"]}
+
+
+def _by_rid(op):
+    return CorrelationConfig({op: CorrelationFunction({"rid": "rid"})})
+
+
+def _read_answer(channel, timeout=5.0):
+    got = []
+    reader = threading.Thread(target=lambda: got.append(channel.recv_line()), daemon=True)
+    reader.start()
+    reader.join(timeout)
+    assert got and got[0], "the endpoint sent no answer"
+    return frames.decode_frame(got[0])
+
+
+def test_a_lone_surrogate_in_a_payload_is_a_protocol_fault(rig):
+    serve, client, registry = rig
+    serve(ECHO_ANY_DOC, ECHO_ANY_IFACE, "echoany", correlation=_by_rid("echo"))
+    channel = registry.connect("echoany")
+    channel.send(b'{"id":"1","type":"request","operation":"echo","resource":"",'
+                 b'"payload":{"rid":"r1","v":"\\ud800"}}\n')
+    answer = _read_answer(channel)
+    channel.close()
+    assert (answer.id, answer.type, answer.fault) == ("1", "fault", "ProtocolFault")
+    out = client("echoany", echo="SolicitResponse")
+    assert out.solicit("echo", State({"rid": "r2", "v": "ok"}), timeout=5.0).lookup("v") == "ok"
+
+
+def test_a_double_result_that_is_not_finite_faults_the_call(rig):
+    serve, client, _ = rig
+    serve(SCALE_DOC, SCALE_IFACE, "scale", correlation=_by_rid("scale"))
+    out = client("scale", scale="SolicitResponse")
+    with pytest.raises(Fault) as err:
+        out.solicit("scale", State({"rid": "r1", "x": 1e308}), timeout=5.0)
+    assert err.value.name == "TypeFault"
+    assert out.solicit("scale", State({"rid": "r2", "x": 1.5}), timeout=5.0).lookup("r") == 15.0
+
+
+def test_lone_surrogates_in_frame_strings_are_protocol_faults(rig):
+    serve, _, registry = rig
+    serve(ECHO_ANY_DOC, ECHO_ANY_IFACE, "echostr", correlation=_by_rid("echo"))
+    channel = registry.connect("echostr")
+    channel.send(b'{"id":"9","type":"request","operation":"\\ud800","resource":"","payload":{}}\n')
+    bad_operation = _read_answer(channel)
+    channel.send(b'{"id":"\\udfff","type":"request","operation":"echo","resource":"",'
+                 b'"payload":1}\n')
+    bad_id = _read_answer(channel)
+    channel.send(frames.encode_frame(frames.request_frame(
+        "10", "echo", State({"rid": "r1", "v": "still here"}))))
+    answer = _read_answer(channel)
+    channel.close()
+    assert (bad_operation.id, bad_operation.fault) == ("9", "ProtocolFault")
+    assert (bad_id.id, bad_id.fault) == ("", "ProtocolFault")
+    assert (answer.id, answer.type, answer.payload.lookup("v")) == ("10", "response", "still here")
+
+
+def test_closing_an_endpoint_ends_every_channel_it_accepted():
+    registry = LocalRegistry()
+    acceptors = []
+
+    def bind(loc, accept):
+        acceptors.append(accept)
+        return registry.bind(loc.name, accept)
+
+    endpoint = FrameEndpoint(LocalLocation("busy"), bind, lambda frame, handle: None)
+    early = registry.connect("busy")
+    endpoint.close()
+    with pytest.raises(ConnectionRefusedError):
+        registry.connect("busy")
+    # a connect that found the acceptor just before close hands its channel over after it
+    late, late_server = memory_pair("late")
+    acceptors[0](late_server)
+    ends = []
+    reader = threading.Thread(target=lambda: ends.extend(c.recv_line() for c in (early, late)),
+                              daemon=True)
+    reader.start()
+    reader.join(5.0)
+    assert ends == [None, None]

@@ -87,6 +87,19 @@ def test_int64_overflow_is_a_fault():
     assert e.value.name == "TypeFault"
 
 
+@pytest.mark.parametrize("expr", ["1e308 * 10.0", "0.0 - 1e308 - 1e308", "1e308 / 1e-10"])
+def test_a_double_result_that_is_not_finite_is_a_fault(expr):
+    with pytest.raises(Fault) as e:
+        ev(expr)
+    assert e.value.name == "TypeFault"
+
+
+@pytest.mark.parametrize("bad", ["1e400", "x + 1e400", "'\ud800'", "'a' + \"\udfff\""])
+def test_literals_must_be_values(bad):
+    with pytest.raises(ParseError):
+        E.parse(bad)
+
+
 def test_string_escapes():
     assert ev(r"'a\'b'") == "a'b"
     assert ev(r"'line\n'") == "line\n"

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from orchestra.errors import DecodeError, EncodeError
+from orchestra.errors import DecodeError, EncodeError, ValidationError
 from orchestra.frames import (
     Frame, decode_frame, encode_frame, fault_frame, request_frame,
     response_frame, salvage_request_id,
@@ -67,8 +67,12 @@ def test_decode_rejects_fault_on_response():
 
 def test_encode_rejects_non_finite_double():
     for value in (float("inf"), float("-inf"), float("nan")):
+        # the value rule keeps such a double out of every checked state; the
+        # encoder still refuses one that skipped the check
+        with pytest.raises(ValidationError):
+            State({"d": value})
         with pytest.raises(EncodeError):
-            encode_frame(request_frame("1", "op", State({"d": value})))
+            encode_frame(request_frame("1", "op", State({"d": value}, _trusted=True)))
 
 
 def test_encode_rejects_mistyped_frames():

@@ -74,6 +74,15 @@ def test_int64_bounds():
         State({"a": 2**63})
 
 
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan"), "\ud800", "a\udfffb"])
+def test_values_are_what_a_frame_can_carry(bad):
+    with pytest.raises(ValidationError):
+        State({"a": bad})
+    with pytest.raises(ValidationError):
+        EMPTY.update("a", bad)
+    State({"a": 1e308, "b": "\U0001f600 \u00e9"})
+
+
 _values = st.one_of(
     st.integers(min_value=-(2**63), max_value=2**63 - 1),
     st.floats(allow_nan=False, allow_infinity=False),
