@@ -247,24 +247,25 @@ def _port_name(raw) -> str:
     return raw
 
 
+def _children(act: Activity) -> tuple[Activity, ...]:
+    """The activities directly under ``act``: a scope's body, then its
+    fault handlers, then ``onTerminate``, then ``onCompensate``."""
+    if isinstance(act, (Sequence, Parallel)):
+        return act.children
+    if isinstance(act, If):
+        return (act.then, act.orelse)
+    if isinstance(act, While):
+        return (act.body,)
+    if isinstance(act, Scope):
+        return (act.body, *(h for _, h in act.fault_handlers),
+                *(h for h in (act.on_terminate, act.on_compensate) if h is not None))
+    return ()
+
+
 def _walk(act: Activity):
     yield act
-    if isinstance(act, (Sequence, Parallel)):
-        for c in act.children:
-            yield from _walk(c)
-    elif isinstance(act, If):
-        yield from _walk(act.then)
-        yield from _walk(act.orelse)
-    elif isinstance(act, While):
-        yield from _walk(act.body)
-    elif isinstance(act, Scope):
-        yield from _walk(act.body)
-        for _, h in act.fault_handlers:
-            yield from _walk(h)
-        if act.on_terminate is not None:
-            yield from _walk(act.on_terminate)
-        if act.on_compensate is not None:
-            yield from _walk(act.on_compensate)
+    for c in _children(act):
+        yield from _walk(c)
 
 
 def receive_ops(act: Activity) -> set[str]:
@@ -288,27 +289,14 @@ def _check_scope_names(act: Activity, path: frozenset[str]) -> None:
     if isinstance(act, Scope):
         if act.name in path:
             raise ValidationError(f"scope name {act.name!r} reused on a nested path")
-        inner = path | {act.name}
-        _check_scope_names(act.body, inner)
-        for _, h in act.fault_handlers:
-            _check_scope_names(h, inner)
-        if act.on_terminate is not None:
-            _check_scope_names(act.on_terminate, inner)
-        if act.on_compensate is not None:
-            _check_scope_names(act.on_compensate, inner)
-        return
-    if isinstance(act, (Sequence, Parallel)):
-        for c in act.children:
-            _check_scope_names(c, path)
-    elif isinstance(act, If):
-        _check_scope_names(act.then, path)
-        _check_scope_names(act.orelse, path)
-    elif isinstance(act, While):
-        _check_scope_names(act.body, path)
+        path = path | {act.name}
+    for c in _children(act):
+        _check_scope_names(c, path)
 
 
 def _check_flat_double_receive(act: Activity, rr_ops: set[str]) -> None:
-    """Reject a second receive before a reply when visible in one flat seq.
+    """Reject a second receive before a reply when visible in one flat seq,
+    wherever that seq sits, scope handlers included.
 
     Only plainly sequential bodies are checked; anything hidden behind
     loops, branches, or parallel joins is left to the runtime, which
@@ -327,16 +315,9 @@ def _check_flat_double_receive(act: Activity, rr_ops: set[str]) -> None:
                 open_ops.discard(c.op)
             else:
                 _check_flat_double_receive(c, rr_ops)
-    elif isinstance(act, (Parallel,)):
-        for c in act.children:
+    else:
+        for c in _children(act):
             _check_flat_double_receive(c, rr_ops)
-    elif isinstance(act, If):
-        _check_flat_double_receive(act.then, rr_ops)
-        _check_flat_double_receive(act.orelse, rr_ops)
-    elif isinstance(act, While):
-        _check_flat_double_receive(act.body, rr_ops)
-    elif isinstance(act, Scope):
-        _check_flat_double_receive(act.body, rr_ops)
 
 
 def validate_behaviour(b: BehaviourDef) -> BehaviourDef:

@@ -30,15 +30,17 @@ import json
 import threading
 import zlib
 from dataclasses import dataclass
-from typing import Any
 
 from . import frames
-from .behaviour import BehaviourDef, parse_activity, validate_behaviour
+from .behaviour import (
+    BehaviourDef, parse_activity, receive_ops, referenced_output_ports, reply_ops,
+    validate_behaviour,
+)
 from .correlation import CorrelationConfig
 from .deployment import (
     Connection, FrameEndpoint, INPUT_KINDS, Interface, InputPort, InputPortListener,
     LocalLocation, Location, OperationDecl, OutputPort, OutputPortRuntime,
-    PROTOCOL_ID, ReplyHandle, SocketLocation, bound_location, parse_location,
+    PROTOCOL_ID, ReplyHandle, SocketLocation, bound_location, check_keys, parse_location,
     reconnect,
 )
 from .engine import CONCURRENT, Engine, SEQUENTIAL
@@ -74,17 +76,21 @@ def loads_strict(text: str):
 
 @dataclass
 class ServiceDef:
-    """Everything one service is: interface, behaviour, engine, ports."""
+    """Everything one service is: interface, behaviour, engine, ports.
+
+    ``doc`` is the document the definition was parsed from, kept as given:
+    it is what ``serialize_service`` ships and what equality compares.
+    """
 
     name: str
     interface: Interface
     behaviour: BehaviourDef
-    behaviour_doc: Any
     correlation: CorrelationConfig
     mode: str
     storage: str | None
     input_ports: tuple[InputPort, ...]
     output_ports: tuple[OutputPort, ...]
+    doc: dict
 
     @classmethod
     def from_json_obj(cls, doc) -> "ServiceDef":
@@ -93,10 +99,12 @@ class ServiceDef:
         name = doc.get("name")
         if not isinstance(name, str) or not name:
             raise ValidationError("service needs a non-empty name")
+        check_keys(doc, _SERVICE_KEYS, f"service {name!r}")
         interface = Interface.from_json_obj(doc.get("interface"))
         engine_doc = doc.get("engine") or {}
         if not isinstance(engine_doc, dict):
             raise ValidationError(f"service {name!r}: engine section must be an object")
+        check_keys(engine_doc, _ENGINE_KEYS, f"service {name!r}: engine")
         mode = engine_doc.get("mode", CONCURRENT)
         if mode not in (SEQUENTIAL, CONCURRENT):
             raise ValidationError(f"service {name!r}: unknown mode {mode!r}")
@@ -105,9 +113,9 @@ class ServiceDef:
         if not isinstance(firing, bool) or not isinstance(initiators, list):
             raise ValidationError(f"service {name!r}: bad firing/initiators")
         storage = engine_doc.get("storage")
-        behaviour_doc = doc.get("behaviour", "nil")
         behaviour = validate_behaviour(
-            BehaviourDef(parse_activity(behaviour_doc), frozenset(initiators), firing)
+            BehaviourDef(parse_activity(doc.get("behaviour", "nil")),
+                         frozenset(initiators), firing)
         )
         correlation = CorrelationConfig.from_json_obj(doc.get("correlation"))
         input_ports = tuple(
@@ -116,14 +124,12 @@ class ServiceDef:
         output_ports = tuple(
             _parse_output_port(p, name) for p in doc.get("outputPorts", [])
         )
-        svc = cls(name, interface, behaviour, behaviour_doc, correlation,
-                  mode, storage, input_ports, output_ports)
+        svc = cls(name, interface, behaviour, correlation, mode, storage,
+                  input_ports, output_ports, doc)
         svc.validate()
         return svc
 
     def validate(self) -> None:
-        from .behaviour import receive_ops, referenced_output_ports, reply_ops
-
         for op in sorted(self.behaviour.initiators):
             if self.interface.kind_of(op) not in INPUT_KINDS:
                 raise ValidationError(
@@ -148,35 +154,22 @@ class ServiceDef:
                 raise ValidationError(
                     f"service {self.name!r}: operation {op!r} not bound on port {port_name!r}")
 
-    def to_json_obj(self) -> dict:
-        engine_doc: dict = {
-            "mode": self.mode,
-            "firing": self.behaviour.firing,
-            "initiators": sorted(self.behaviour.initiators),
-        }
-        if self.storage:
-            engine_doc["storage"] = self.storage
-        doc: dict = {
-            "name": self.name,
-            "interface": self.interface.to_json_obj(),
-            "behaviour": self.behaviour_doc,
-            "engine": engine_doc,
-        }
-        if self.correlation.functions:
-            doc["correlation"] = self.correlation.to_json_obj()
-        if self.input_ports:
-            doc["inputPorts"] = [_input_port_obj(p) for p in self.input_ports]
-        if self.output_ports:
-            doc["outputPorts"] = [_output_port_obj(p) for p in self.output_ports]
-        return doc
-
     def __eq__(self, other) -> bool:
-        return isinstance(other, ServiceDef) and self.to_json_obj() == other.to_json_obj()
+        return isinstance(other, ServiceDef) and self.doc == other.doc
+
+
+_SERVICE_KEYS = frozenset(
+    {"name", "interface", "behaviour", "engine", "correlation", "inputPorts", "outputPorts"})
+_ENGINE_KEYS = frozenset({"mode", "firing", "initiators", "storage"})
+_INPUT_PORT_KEYS = frozenset({"name", "location", "interface", "protocol"})
+_OUTPUT_PORT_KEYS = _INPUT_PORT_KEYS | {"resource"}
+_CONTAINER_KEYS = frozenset({"name", "services", "embed", "gateway", "redirects", "aggregate"})
 
 
 def _parse_input_port(doc, interface: Interface, service: str) -> InputPort:
     if not isinstance(doc, dict):
         raise ValidationError(f"service {service!r}: input port must be an object")
+    check_keys(doc, _INPUT_PORT_KEYS, f"service {service!r}: input port")
     ops = doc.get("interface", [])
     return InputPort(
         name=doc.get("name", "in"),
@@ -189,6 +182,7 @@ def _parse_input_port(doc, interface: Interface, service: str) -> InputPort:
 def _parse_output_port(doc, service: str) -> OutputPort:
     if not isinstance(doc, dict):
         raise ValidationError(f"service {service!r}: output port must be an object")
+    check_keys(doc, _OUTPUT_PORT_KEYS, f"service {service!r}: output port")
     return OutputPort(
         name=doc.get("name", "out"),
         location=parse_location(doc.get("location", "")),
@@ -198,22 +192,10 @@ def _parse_output_port(doc, service: str) -> OutputPort:
     )
 
 
-def _input_port_obj(p: InputPort) -> dict:
-    return {"name": p.name, "location": str(p.location), "protocol": p.protocol,
-            "interface": sorted(p.interface.operations)}
-
-
-def _output_port_obj(p: OutputPort) -> dict:
-    obj = {"name": p.name, "location": str(p.location), "protocol": p.protocol,
-           "interface": p.interface.to_json_obj()}
-    if p.resource:
-        obj["resource"] = p.resource
-    return obj
-
-
 def serialize_service(svc: ServiceDef) -> str:
-    """A service definition as one JSON document: the unit of mobility."""
-    return json.dumps(svc.to_json_obj(), separators=(",", ":"), sort_keys=True)
+    """A service definition as one JSON document, the document it was
+    parsed from: the unit of mobility."""
+    return json.dumps(svc.doc, separators=(",", ":"), sort_keys=True)
 
 
 def parse_service(text: str) -> ServiceDef:
@@ -228,7 +210,7 @@ def merge_interfaces(parts: list[Interface]) -> Interface:
             known = merged.get(name)
             if known is None:
                 merged[name] = decl
-            elif known.to_json_obj() != decl.to_json_obj():
+            elif known != decl:
                 raise InterfaceClash(f"operation {name!r} declared twice, differently")
     return Interface(merged)
 
@@ -263,8 +245,7 @@ class RunningService:
 class Container:
     """An application executing one or more services, composable four ways."""
 
-    def __init__(self, *, seed: int = 0, event_sink=None, watchdog_grace: float = 0.5,
-                 name: str = "container"):
+    def __init__(self, *, seed: int = 0, event_sink=None, name: str = "container"):
         self.name = name
         self.seed = seed
         self.registry = LocalRegistry()
@@ -274,7 +255,6 @@ class Container:
         self.aggregation: tuple[Interface, dict[str, str]] | None = None
         self.warnings: list[str] = []
         self._event_sink = event_sink
-        self._watchdog_grace = watchdog_grace
         self._table_lock = threading.Lock()
         self._gateway: FrameEndpoint | None = None
         self._gateway_loc: Location | None = None
@@ -339,7 +319,6 @@ class Container:
             outputs=outputs,
             name=definition.name,
             event_sink=self._service_sink(definition.name),
-            watchdog_grace=self._watchdog_grace,
         )
         listeners: list[InputPortListener] = []
         try:
@@ -532,17 +511,14 @@ class Container:
 
 
 def load_container(config, *, seed: int = 0, event_sink=None,
-                   watchdog_grace: float = 0.5, name: str = "container") -> Container:
+                   name: str = "container") -> Container:
     """Build and start a container from its configuration document."""
     if isinstance(config, str):
         config = loads_strict(config)
     if not isinstance(config, dict):
         raise ValidationError("container configuration must be an object")
-    unknown = set(config) - {"name", "services", "embed", "gateway", "redirects", "aggregate"}
-    if unknown:
-        raise ValidationError(f"unknown container configuration keys {sorted(unknown)}")
-    container = Container(seed=seed, event_sink=event_sink, watchdog_grace=watchdog_grace,
-                          name=config.get("name", name))
+    check_keys(config, _CONTAINER_KEYS, "container configuration")
+    container = Container(seed=seed, event_sink=event_sink, name=config.get("name", name))
     try:
         definitions = [ServiceDef.from_json_obj(d) for d in config.get("services", [])]
         embed_names = config.get("embed", [])

@@ -35,7 +35,6 @@ class Message:
 
     operation: str
     payload: State = EMPTY
-    resource: str = ""
     channel_id: Any = None
     request_id: str = ""
 
@@ -63,9 +62,6 @@ class CorrelationFunction:
 
     def codomain(self) -> frozenset[str]:
         return frozenset(self._mapping.values())
-
-    def items(self):
-        return self._mapping.items()
 
     def __len__(self) -> int:
         return len(self._mapping)
@@ -111,9 +107,6 @@ class CorrelationConfig:
                 raise ValidationError(f"correlation for {op!r} must be an object")
             functions[op] = CorrelationFunction(mapping)
         return cls(functions)
-
-    def to_json_obj(self) -> dict:
-        return {op: dict(f.items()) for op, f in sorted(self.functions.items())}
 
 
 def correlates(message: Message, cfun: CorrelationFunction, s: State) -> bool:

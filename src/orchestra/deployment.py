@@ -21,6 +21,8 @@ calling end and by the container gateway:
 * ``FrameEndpoint``: serving a location, one thread per accepted channel;
   closing it also closes the channels it still serves, so their peers
   see EOF and reconnect instead of talking to a stopped service.
+
+Both ends close a channel once they read EOF on it.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .errors import (
 )
 from .frames import Frame
 from .interpreter import CallResult
-from .state import State, value_kind
+from .state import State, check_var_name, value_kind
 
 ONE_WAY = "OneWay"
 REQUEST_RESPONSE = "RequestResponse"
@@ -51,6 +53,15 @@ OUTPUT_KINDS = (NOTIFICATION, SOLICIT_RESPONSE)
 PROTOCOL_ID = "frame/1"
 
 _FIELD_TYPES = ("string", "int", "double", "bool", "any")
+_DECL_KEYS = frozenset({"kind", "request", "response"})
+
+
+def check_keys(doc: dict, allowed: frozenset[str], where: str) -> None:
+    """Reject a document object holding a key outside ``allowed``, so that
+    nothing in a loaded document is silently ignored."""
+    unknown = doc.keys() - allowed
+    if unknown:
+        raise ValidationError(f"{where}: unknown keys {sorted(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -65,15 +76,11 @@ class MessageType:
             return cls()
         if not isinstance(obj, dict):
             raise ValidationError("message type must be an object")
-        out = []
         for name, tag in obj.items():
+            check_var_name(name)
             if tag not in _FIELD_TYPES:
                 raise ValidationError(f"unknown field type {tag!r} for {name!r}")
-            out.append((name, tag))
-        return cls(tuple(out))
-
-    def to_json_obj(self) -> dict:
-        return dict(self.fields)
+        return cls(tuple(sorted(obj.items())))
 
     def check(self, payload: State, where: str) -> None:
         for name, tag in self.fields:
@@ -102,12 +109,6 @@ class OperationDecl:
         if not has_response and self.response is not None:
             raise ValidationError(f"{self.kind} operation {self.name!r} cannot declare a response")
 
-    def to_json_obj(self) -> dict:
-        out: dict = {"kind": self.kind, "request": self.request.to_json_obj()}
-        if self.response is not None:
-            out["response"] = self.response.to_json_obj()
-        return out
-
 
 class Interface:
     """Named, unique operation declarations."""
@@ -128,6 +129,7 @@ class Interface:
         for name, body in obj.items():
             if not isinstance(body, dict) or "kind" not in body:
                 raise ValidationError(f"operation {name!r} needs a kind")
+            check_keys(body, _DECL_KEYS, f"operation {name!r}")
             ops[name] = OperationDecl(
                 name=name,
                 kind=body["kind"],
@@ -135,9 +137,6 @@ class Interface:
                 response=MessageType.from_json_obj(body["response"]) if "response" in body else None,
             )
         return cls(ops)
-
-    def to_json_obj(self) -> dict:
-        return {name: decl.to_json_obj() for name, decl in sorted(self.operations.items())}
 
     def get(self, op: str) -> OperationDecl | None:
         return self.operations.get(op)
@@ -156,7 +155,7 @@ class Interface:
         return op in self.operations
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Interface) and self.to_json_obj() == other.to_json_obj()
+        return isinstance(other, Interface) and self.operations == other.operations
 
 
 @dataclass(frozen=True)
@@ -323,6 +322,7 @@ class Connection:
             else:
                 waiter(CallResult(fault=frame.fault))
         self._fail_all()
+        self.channel.close()
 
     def _fail_all(self) -> None:
         with self._lock:
@@ -443,8 +443,9 @@ class FrameEndpoint:
     Each accepted channel gets its own daemon thread and ``ReplyHandle``.
     A line ``read_frames`` yields that is not a request frame is answered
     with ``ProtocolFault`` under the id salvaged from it, and the channel
-    stays open.  ``close`` stops listening and closes every channel still
-    served.
+    stays open.  At EOF the channel is closed, which frees its socket at
+    once: a caller keeps its write side open until its answers arrive.
+    ``close`` stops listening and closes every channel still served.
     """
 
     def __init__(self, location: Location, bind: Binder,
@@ -470,6 +471,7 @@ class FrameEndpoint:
                 handle.send_fault(frames.salvage_request_id(line), "", PROTOCOL_FAULT)
             else:
                 self._on_request(frame, handle)
+        channel.close()
         with self._lock:
             self._channels.discard(channel)
 
@@ -508,7 +510,6 @@ class InputPortListener:
         outcome = self._sink(Message(
             operation=frame.operation,
             payload=frame.payload,
-            resource=frame.resource,
             channel_id=handle,
             request_id=frame.id,
         ))

@@ -242,13 +242,6 @@ class Engine:
     def start(self) -> "Engine":
         if self._started.is_set():
             raise StartupError("engine already started")
-        for op in sorted(self._behaviour.initiators):
-            kind = self._interface.kind_of(op)
-            if kind not in INPUT_KINDS:
-                raise StartupError(f"initiator {op!r} is not a declared input operation")
-        for op in self._correlation.functions:
-            if self._interface.kind_of(op) not in INPUT_KINDS:
-                raise StartupError(f"correlation declared for non-input operation {op!r}")
         self._emit("engine_started", mode=self.mode)
         if self._behaviour.firing:
             with self._lock:

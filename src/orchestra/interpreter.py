@@ -269,10 +269,9 @@ def _interp(act: Activity, ctx: SessionContext):
 
 
 class _Join:
-    __slots__ = ("owner", "pending", "fault", "terminating")
+    __slots__ = ("pending", "fault", "terminating")
 
-    def __init__(self, owner: "Strand"):
-        self.owner = owner
+    def __init__(self):
         self.pending: set[Strand] = set()
         self.fault: str | None = None
         self.terminating = False
@@ -390,7 +389,7 @@ class SessionRunner:
             strand.waiting = yielded
             return
         if isinstance(yielded, _SpawnPar):
-            join = _Join(strand)
+            join = _Join()
             for child in yielded.children:
                 join.pending.add(self._spawn(_interp(child, self.ctx), join))
             strand.waiting = join

@@ -82,6 +82,19 @@ def test_double_receive_before_reply_rejected_when_flat():
         parse_behaviour(doc)
 
 
+@pytest.mark.parametrize("handler", ["faults", "onTerminate", "onCompensate"])
+def test_double_receive_before_reply_rejected_in_a_scope_handler(handler):
+    flat = {"seq": [
+        {"receive": {"op": "ask", "into": "a"}},
+        {"receive": {"op": "ask", "into": "b"}},
+        {"reply": {"op": "ask", "from": {}}},
+    ]}
+    scope = {"name": "s", "body": {"throw": "Boom"}}
+    scope[handler] = {"Boom": flat} if handler == "faults" else flat
+    with pytest.raises(ValidationError):
+        parse_behaviour({"scope": scope})
+
+
 def test_receive_reply_receive_is_fine():
     doc = {"root": {"seq": [
         {"receive": {"op": "ask", "into": "a"}},

@@ -20,7 +20,7 @@ from orchestra.errors import (
 )
 from orchestra.interpreter import CallResult
 from orchestra.state import State
-from orchestra.transport import SOCKET_BYTES
+from orchestra.transport import SOCKET_BYTES, connect_socket
 
 
 def calc_payload(op, a, b, rid):
@@ -318,6 +318,100 @@ def test_mobile_service_roundtrip():
     text = serialize_service(definition)
     assert parse_service(text) == definition
     assert parse_service(serialize_service(parse_service(text))) == definition
+
+
+def test_serialize_service_returns_the_document_as_given():
+    doc = calculator_def()  # no port names its protocol: nothing is filled in
+    text = serialize_service(ServiceDef.from_json_obj(doc))
+    assert text == json.dumps(doc, separators=(",", ":"), sort_keys=True)
+
+
+def _typo_service_key(doc):
+    doc["inputport"] = doc.pop("inputPorts")
+
+
+def _typo_correlation_key(doc):
+    doc["corelation"] = doc.pop("correlation")
+
+
+def _typo_engine_key(doc):
+    doc["engine"]["mod"] = "sequential"
+
+
+def _typo_input_port_key(doc):
+    doc["inputPorts"][0]["protocl"] = "frame/1"
+
+
+def _typo_output_port_key(doc):
+    doc["outputPorts"] = [{"name": "o", "location": "local://elsewhere", "resorce": "R",
+                           "interface": {"tell": {"kind": "Notification"}}}]
+
+
+def _typo_operation_key(doc):
+    doc["interface"]["calc"]["respone"] = doc["interface"]["calc"].pop("response")
+
+
+@pytest.mark.parametrize("typo", [
+    _typo_service_key, _typo_correlation_key, _typo_engine_key,
+    _typo_input_port_key, _typo_output_port_key, _typo_operation_key,
+])
+def test_unknown_keys_in_a_service_document_are_rejected(typo):
+    doc = calculator_def()
+    typo(doc)
+    with pytest.raises(ValidationError, match="unknown keys"):
+        ServiceDef.from_json_obj(doc)
+
+
+def test_message_type_field_names_are_variable_names():
+    doc = calculator_def()
+    doc["interface"]["calc"]["request"]["a-b"] = "int"
+    with pytest.raises(ValidationError):
+        ServiceDef.from_json_obj(doc)
+
+
+def test_field_order_does_not_change_a_declaration():
+    ab = Interface.from_json_obj({"op": {"kind": "OneWay", "request": {"a": "int", "b": "int"}}})
+    ba = Interface.from_json_obj({"op": {"kind": "OneWay", "request": {"b": "int", "a": "int"}}})
+    assert ab == ba
+    assert set(merge_interfaces([ab, ba]).operations) == {"op"}
+
+
+def _wait_closed(channels, timeout=5.0) -> bool:
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if all(c._sock.fileno() == -1 for c in channels):
+            return True
+        time.sleep(0.01)
+    return False
+
+
+def test_a_channel_is_closed_when_its_peer_hangs_up():
+    """Each end closes its channel at EOF, so no socket waits for garbage
+    collection (a leaked one is a ResourceWarning, an error here)."""
+    accepted = []
+
+    class Recording(Container):
+        def bind(self, location, on_channel):
+            return super().bind(location, lambda ch: (accepted.append(ch), on_channel(ch)))
+
+    container = Recording()
+    try:
+        running = container.start_service(
+            ServiceDef.from_json_obj(calculator_def("socket://127.0.0.1:0", "calc")))
+        location = running.location_of("calc")
+        for i in range(5):  # the client closes first
+            conn = Connection(connect_socket(location.host, location.port))
+            result = sync_request(conn, "calc", calc_payload("sum", i, 1, str(i)))
+            assert result.payload.lookup("r") == i + 1
+            conn.close()
+        assert len(accepted) == 5
+        assert _wait_closed(accepted)
+        # the server stops first
+        conn = Connection(connect_socket(location.host, location.port))
+        assert sync_request(conn, "calc", calc_payload("sum", 1, 1, "x")).payload.lookup("r") == 2
+    finally:
+        container.stop()
+    assert _wait_closed([conn.channel])
 
 
 def test_service_def_cross_validation():
