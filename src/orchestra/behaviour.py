@@ -46,7 +46,7 @@ class Parallel:
 class If:
     cond: Expr
     then: "Activity"
-    orelse: "Activity"
+    orelse: "Activity" = Nil()
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,7 @@ class While:
 @dataclass(frozen=True)
 class Receive:
     op: str
-    into: str
+    into: str = ""
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ class Solicit:
     port: str
     op: str
     payload: tuple[tuple[str, Expr], ...]
-    into: str
+    into: str = ""
 
 
 @dataclass(frozen=True)
@@ -125,6 +125,40 @@ def join_prefix(prefix: str, field_name: str) -> str:
     return f"{prefix}_{field_name}" if prefix else field_name
 
 
+def check_object(doc, where: str, required: frozenset[str] = frozenset(),
+                 optional: frozenset[str] = frozenset()) -> dict:
+    """``doc`` when it is an object holding every ``required`` key and no key
+    outside ``required | optional``: the shape rule of every object in a
+    document, so that nothing in a loaded document is silently ignored."""
+    if not isinstance(doc, dict):
+        raise ParseError(f"{where}: expected an object, got {doc!r}")
+    missing = required.difference(doc)
+    if missing:
+        raise ParseError(f"{where}: missing {sorted(missing)}")
+    unknown = doc.keys() - required - optional
+    if unknown:
+        raise ParseError(f"{where}: unknown keys {sorted(unknown)}")
+    return doc
+
+
+def check_list(raw, where: str) -> list:
+    if not isinstance(raw, list):
+        raise ParseError(f"{where}: expected a list, got {raw!r}")
+    return raw
+
+
+def check_name(raw, where: str) -> str:
+    """``raw`` when it is a name: a non-empty string that encodes as UTF-8,
+    as every name that travels in a frame must."""
+    if not isinstance(raw, str) or not raw or not is_text(raw):
+        raise ParseError(f"{where}: expected a non-empty UTF-8 string, got {raw!r}")
+    return raw
+
+
+def check_names(raw, where: str) -> list[str]:
+    return [check_name(name, where) for name in check_list(raw, where)]
+
+
 def _parse_expr(raw, where: str) -> Expr:
     if not isinstance(raw, str):
         raise ParseError(f"{where}: expression must be a string, got {raw!r}")
@@ -142,109 +176,93 @@ def _parse_expr_map(raw, where: str) -> tuple[tuple[str, Expr], ...]:
     return tuple(out)
 
 
-def _require(doc: dict, key: str, where: str):
-    if key not in doc:
-        raise ParseError(f"{where}: missing {key!r}")
-    return doc[key]
+def _parse_prefix(raw, where: str) -> str:
+    if raw != "" and not is_valid_var_name(raw):
+        raise ParseError(f"{where}: bad prefix {raw!r}")
+    return raw
 
 
-def parse_activity(doc) -> Activity:
+def _parse_handlers(raw, where: str) -> tuple[tuple[str, "Activity"], ...]:
+    if not isinstance(raw, dict):
+        raise ParseError(f"{where}: expected an object of fault handlers")
+    return tuple((check_name(name, where), parse_activity(handler, f"{where}.{name}"))
+                 for name, handler in raw.items())
+
+
+def _parse_list(raw, where: str) -> tuple["Activity", ...]:
+    return tuple(parse_activity(child, where) for child in check_list(raw, where))
+
+
+def _parse_assign(body) -> Assign:
+    if not (isinstance(body, list) and len(body) == 2):
+        raise ParseError(f"assign: expected [var, expression], got {body!r}")
+    var, expr = body
+    if not is_valid_var_name(var):
+        raise ParseError(f"assign: bad variable name {var!r}")
+    return Assign(var, _parse_expr(expr, "assign"))
+
+
+def parse_activity(doc, where: str = "activity") -> Activity:
     """Parse one activity node from its JSON document form."""
     if doc == "nil":
         return Nil()
     if not isinstance(doc, dict) or len(doc) != 1:
-        raise ParseError(f"activity must be 'nil' or a single-key object, got {doc!r}")
-    kind, body = next(iter(doc.items()))
-    if kind == "seq":
-        if not isinstance(body, list):
-            raise ParseError("seq: expected a list of activities")
-        return Sequence(tuple(parse_activity(c) for c in body))
-    if kind == "par":
-        if not isinstance(body, list):
-            raise ParseError("par: expected a list of activities")
-        return Parallel(tuple(parse_activity(c) for c in body))
-    if kind == "if":
-        cond = _parse_expr(_require(body, "cond", "if"), "if.cond")
-        then = parse_activity(_require(body, "then", "if"))
-        orelse = parse_activity(body["else"]) if "else" in body else Nil()
-        return If(cond, then, orelse)
-    if kind == "while":
-        return While(
-            _parse_expr(_require(body, "cond", "while"), "while.cond"),
-            parse_activity(_require(body, "body", "while")),
-        )
-    if kind == "assign":
-        if not (isinstance(body, list) and len(body) == 2):
-            raise ParseError(f"assign: expected [var, expression], got {body!r}")
-        if not is_valid_var_name(body[0]):
-            raise ParseError(f"assign: bad variable name {body[0]!r}")
-        return Assign(body[0], _parse_expr(body[1], "assign"))
-    if kind == "receive":
-        into = body.get("into", "") if isinstance(body, dict) else None
-        if not isinstance(body, dict) or not isinstance(into, str):
-            raise ParseError(f"receive: expected {{op, into}}, got {body!r}")
-        if into and not is_valid_var_name(into):
-            raise ParseError(f"receive: bad into prefix {into!r}")
-        return Receive(_op_name(_require(body, "op", "receive")), into)
-    if kind == "reply":
-        return Reply(
-            _op_name(_require(body, "op", "reply")),
-            _parse_expr_map(_require(body, "from", "reply"), "reply.from"),
-        )
-    if kind == "notify":
-        return Notify(
-            _port_name(_require(body, "port", "notify")),
-            _op_name(_require(body, "op", "notify")),
-            _parse_expr_map(_require(body, "payload", "notify"), "notify.payload"),
-        )
-    if kind == "solicit":
-        into = body.get("into", "")
-        if into and not is_valid_var_name(into):
-            raise ParseError(f"solicit: bad into prefix {into!r}")
-        return Solicit(
-            _port_name(_require(body, "port", "solicit")),
-            _op_name(_require(body, "op", "solicit")),
-            _parse_expr_map(_require(body, "payload", "solicit"), "solicit.payload"),
-            into,
-        )
-    if kind == "throw":
-        # the name travels in fault frames, so it must encode as UTF-8
-        if not isinstance(body, str) or not body or not is_text(body):
-            raise ParseError(f"throw: fault name must be a non-empty UTF-8 string, got {body!r}")
-        return Throw(body)
-    if kind == "scope":
-        name = _require(body, "name", "scope")
-        if not isinstance(name, str) or not name:
-            raise ParseError("scope: name must be a non-empty string")
-        handlers = []
-        for fault_name, handler_doc in (body.get("faults") or {}).items():
-            if not isinstance(fault_name, str) or not fault_name:
-                raise ParseError("scope.faults: fault names must be non-empty strings")
-            handlers.append((fault_name, parse_activity(handler_doc)))
-        return Scope(
-            name=name,
-            body=parse_activity(_require(body, "body", "scope")),
-            fault_handlers=tuple(handlers),
-            on_terminate=parse_activity(body["onTerminate"]) if "onTerminate" in body else None,
-            on_compensate=parse_activity(body["onCompensate"]) if "onCompensate" in body else None,
-        )
-    if kind == "compensate":
-        if not isinstance(body, str) or not body:
-            raise ParseError(f"compensate: scope name must be a non-empty string, got {body!r}")
-        return Compensate(body)
-    raise ParseError(f"unknown activity kind {kind!r}")
+        raise ParseError(f"{where}: activity must be 'nil' or a single-key object, got {doc!r}")
+    [(kind, body)] = doc.items()
+    node = _NODES.get(kind)
+    if node is None:
+        reader = _READERS.get(kind)
+        if reader is None:
+            raise ParseError(f"{where}: unknown activity kind {kind!r}")
+        return reader(body)
+    cls, required, optional = node
+    check_object(body, kind, required, optional)
+    fields = {}
+    for key, raw in body.items():
+        field, read = _KEYS[key]
+        fields[field] = read(raw, f"{kind}.{key}")
+    return cls(**fields)
 
 
-def _op_name(raw) -> str:
-    if not isinstance(raw, str) or not raw or not is_text(raw):
-        raise ParseError(f"operation name must be a non-empty UTF-8 string, got {raw!r}")
-    return raw
+# Each document key means one thing in every node: the node field it fills
+# and the reader that parses its value.
+_KEYS = {
+    "cond": ("cond", _parse_expr),
+    "then": ("then", parse_activity),
+    "else": ("orelse", parse_activity),
+    "body": ("body", parse_activity),
+    "onTerminate": ("on_terminate", parse_activity),
+    "onCompensate": ("on_compensate", parse_activity),
+    "op": ("op", check_name),
+    "port": ("port", check_name),
+    "name": ("name", check_name),
+    "into": ("into", _parse_prefix),
+    "from": ("fields", _parse_expr_map),
+    "payload": ("payload", _parse_expr_map),
+    "faults": ("fault_handlers", _parse_handlers),
+}
 
+# Each node kind whose body is an object: its class, its required keys and
+# its optional keys.
+_NODES = {
+    "if": (If, frozenset({"cond", "then"}), frozenset({"else"})),
+    "while": (While, frozenset({"cond", "body"}), frozenset()),
+    "receive": (Receive, frozenset({"op"}), frozenset({"into"})),
+    "reply": (Reply, frozenset({"op", "from"}), frozenset()),
+    "notify": (Notify, frozenset({"port", "op", "payload"}), frozenset()),
+    "solicit": (Solicit, frozenset({"port", "op", "payload"}), frozenset({"into"})),
+    "scope": (Scope, frozenset({"name", "body"}),
+              frozenset({"faults", "onTerminate", "onCompensate"})),
+}
 
-def _port_name(raw) -> str:
-    if not isinstance(raw, str) or not raw:
-        raise ParseError(f"port name must be a non-empty string, got {raw!r}")
-    return raw
+# The other node kinds, one reader each.
+_READERS = {
+    "seq": lambda body: Sequence(_parse_list(body, "seq")),
+    "par": lambda body: Parallel(_parse_list(body, "par")),
+    "assign": _parse_assign,
+    "throw": lambda body: Throw(check_name(body, "throw")),
+    "compensate": lambda body: Compensate(check_name(body, "compensate")),
+}
 
 
 def _children(act: Activity) -> tuple[Activity, ...]:
@@ -339,18 +357,19 @@ def parse_behaviour(doc) -> BehaviourDef:
     initiators) or an object ``{"root": ..., "firing": bool,
     "initiators": [...]}``.
     """
-    if isinstance(doc, dict) and ("root" in doc or "firing" in doc or "initiators" in doc):
-        root = parse_activity(_require(doc, "root", "behaviour"))
+    if isinstance(doc, dict) and not _BEHAVIOUR_KEYS.isdisjoint(doc):
+        check_object(doc, "behaviour", frozenset({"root"}), _BEHAVIOUR_KEYS)
         firing = doc.get("firing", False)
-        initiators = doc.get("initiators", [])
         if not isinstance(firing, bool):
-            raise ParseError("behaviour: firing must be a boolean")
-        if not isinstance(initiators, list) or not all(isinstance(o, str) and o for o in initiators):
-            raise ParseError("behaviour: initiators must be a list of operation names")
-        extra = set(doc) - {"root", "firing", "initiators"}
-        if extra:
-            raise ParseError(f"behaviour: unknown keys {sorted(extra)}")
-        b = BehaviourDef(root, frozenset(initiators), firing)
+            raise ParseError(f"firing must be a boolean, got {firing!r}")
+        initiators = frozenset(check_names(doc.get("initiators", []), "initiators"))
+        root = doc["root"]
     else:
-        b = BehaviourDef(parse_activity(doc), frozenset(), True)
-    return validate_behaviour(b)
+        firing, initiators, root = True, frozenset(), doc
+    try:
+        return validate_behaviour(BehaviourDef(parse_activity(root), initiators, firing))
+    except RecursionError:
+        raise ParseError("behaviour nested too deeply") from None
+
+
+_BEHAVIOUR_KEYS = frozenset({"root", "firing", "initiators"})

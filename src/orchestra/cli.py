@@ -22,7 +22,7 @@ from . import state
 from .composition import load_container, loads_strict
 from .demos import DEMOS, DemoFailure, run_demo
 from .deployment import Connection, SocketLocation, parse_location, sync_request
-from .errors import OrchestraError, StartupError, ValidationError
+from .errors import OrchestraError, ValidationError
 from .transport import connect_socket
 
 
@@ -40,7 +40,7 @@ def cmd_check(args) -> int:
     try:
         config = _read_config(args.config)
         container = load_container(config, seed=args.seed)
-    except (ValidationError, StartupError, OrchestraError) as e:
+    except OrchestraError as e:
         print(json.dumps({"error": type(e).__name__, "detail": str(e)}),
               file=sys.stderr)
         return 1
@@ -74,7 +74,7 @@ def cmd_run(args) -> int:
     try:
         config = _read_config(args.config)
         container = load_container(config, seed=args.seed, event_sink=sink)
-    except (ValidationError, StartupError, OrchestraError) as e:
+    except OrchestraError as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         if log_file:
             log_file.close()

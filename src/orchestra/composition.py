@@ -33,19 +33,18 @@ from dataclasses import dataclass
 
 from . import frames
 from .behaviour import (
-    BehaviourDef, parse_activity, receive_ops, referenced_output_ports, reply_ops,
-    validate_behaviour,
+    BehaviourDef, check_list, check_name, check_names, check_object, parse_behaviour,
+    receive_ops, referenced_output_ports, reply_ops,
 )
 from .correlation import CorrelationConfig
 from .deployment import (
     Connection, FrameEndpoint, INPUT_KINDS, Interface, InputPort, InputPortListener,
     LocalLocation, Location, OperationDecl, OutputPort, OutputPortRuntime,
-    PROTOCOL_ID, ReplyHandle, SocketLocation, bound_location, check_keys, parse_location,
-    reconnect,
+    PROTOCOL_ID, ReplyHandle, SocketLocation, bound_location, parse_location, reconnect,
 )
 from .engine import CONCURRENT, Engine, SEQUENTIAL
 from .errors import (
-    Fault, InterfaceClash, NAME_CLASH_FAULT, NameClash, StartupError,
+    Fault, InterfaceClash, NAME_CLASH_FAULT, NameClash, OrchestraError, StartupError,
     UNKNOWN_OPERATION, UNKNOWN_RESOURCE, UNKNOWN_SERVICE_FAULT, UnknownService,
     ValidationError,
 )
@@ -70,7 +69,7 @@ def loads_strict(text: str):
 
     try:
         return json.loads(text, object_pairs_hook=hook)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise ValidationError(f"bad JSON: {e}") from e
 
 
@@ -94,35 +93,28 @@ class ServiceDef:
 
     @classmethod
     def from_json_obj(cls, doc) -> "ServiceDef":
-        if not isinstance(doc, dict):
-            raise ValidationError("service definition must be an object")
-        name = doc.get("name")
-        if not isinstance(name, str) or not name:
-            raise ValidationError("service needs a non-empty name")
-        check_keys(doc, _SERVICE_KEYS, f"service {name!r}")
+        where = f"service {doc.get('name')!r}" if isinstance(doc, dict) else "service"
+        check_object(doc, where, frozenset({"name"}), _SERVICE_KEYS)
+        name = check_name(doc["name"], f"{where}: name")
         interface = Interface.from_json_obj(doc.get("interface"))
-        engine_doc = doc.get("engine") or {}
-        if not isinstance(engine_doc, dict):
-            raise ValidationError(f"service {name!r}: engine section must be an object")
-        check_keys(engine_doc, _ENGINE_KEYS, f"service {name!r}: engine")
+        engine_doc = check_object(doc.get("engine", {}), f"{where}: engine",
+                                  optional=_ENGINE_KEYS)
         mode = engine_doc.get("mode", CONCURRENT)
         if mode not in (SEQUENTIAL, CONCURRENT):
-            raise ValidationError(f"service {name!r}: unknown mode {mode!r}")
-        firing = engine_doc.get("firing", False)
-        initiators = engine_doc.get("initiators", [])
-        if not isinstance(firing, bool) or not isinstance(initiators, list):
-            raise ValidationError(f"service {name!r}: bad firing/initiators")
-        storage = engine_doc.get("storage")
-        behaviour = validate_behaviour(
-            BehaviourDef(parse_activity(doc.get("behaviour", "nil")),
-                         frozenset(initiators), firing)
-        )
+            raise ValidationError(f"{where}: unknown mode {mode!r}")
+        storage = (check_name(engine_doc["storage"], f"{where}: engine.storage")
+                   if "storage" in engine_doc else None)
+        behaviour = parse_behaviour({"root": doc.get("behaviour", "nil"),
+                                     "firing": engine_doc.get("firing", False),
+                                     "initiators": engine_doc.get("initiators", [])})
         correlation = CorrelationConfig.from_json_obj(doc.get("correlation"))
         input_ports = tuple(
-            _parse_input_port(p, interface, name) for p in doc.get("inputPorts", [])
+            _parse_input_port(p, interface, name)
+            for p in check_list(doc.get("inputPorts", []), f"{where}: inputPorts")
         )
         output_ports = tuple(
-            _parse_output_port(p, name) for p in doc.get("outputPorts", [])
+            _parse_output_port(p, name)
+            for p in check_list(doc.get("outputPorts", []), f"{where}: outputPorts")
         )
         svc = cls(name, interface, behaviour, correlation, mode, storage,
                   input_ports, output_ports, doc)
@@ -164,31 +156,32 @@ _ENGINE_KEYS = frozenset({"mode", "firing", "initiators", "storage"})
 _INPUT_PORT_KEYS = frozenset({"name", "location", "interface", "protocol"})
 _OUTPUT_PORT_KEYS = _INPUT_PORT_KEYS | {"resource"}
 _CONTAINER_KEYS = frozenset({"name", "services", "embed", "gateway", "redirects", "aggregate"})
+_AGGREGATE_KEYS = frozenset({"publish", "map"})
 
 
 def _parse_input_port(doc, interface: Interface, service: str) -> InputPort:
-    if not isinstance(doc, dict):
-        raise ValidationError(f"service {service!r}: input port must be an object")
-    check_keys(doc, _INPUT_PORT_KEYS, f"service {service!r}: input port")
-    ops = doc.get("interface", [])
+    where = f"service {service!r}: input port"
+    check_object(doc, where, optional=_INPUT_PORT_KEYS)
     return InputPort(
-        name=doc.get("name", "in"),
+        name=check_name(doc.get("name", "in"), f"{where} name"),
         location=parse_location(doc.get("location", "")),
-        interface=interface.restrict(ops),
+        interface=interface.restrict(check_names(doc.get("interface", []), f"{where} interface")),
         protocol=doc.get("protocol", PROTOCOL_ID),
     )
 
 
 def _parse_output_port(doc, service: str) -> OutputPort:
-    if not isinstance(doc, dict):
-        raise ValidationError(f"service {service!r}: output port must be an object")
-    check_keys(doc, _OUTPUT_PORT_KEYS, f"service {service!r}: output port")
+    where = f"service {service!r}: output port"
+    check_object(doc, where, optional=_OUTPUT_PORT_KEYS)
+    resource = doc.get("resource", "")
+    if resource != "":
+        check_name(resource, f"{where} resource")
     return OutputPort(
-        name=doc.get("name", "out"),
+        name=check_name(doc.get("name", "out"), f"{where} name"),
         location=parse_location(doc.get("location", "")),
         interface=Interface.from_json_obj(doc.get("interface")),
         protocol=doc.get("protocol", PROTOCOL_ID),
-        resource=doc.get("resource", ""),
+        resource=resource,
     )
 
 
@@ -474,7 +467,7 @@ class Container:
             handle.send_fault(frame.id, frame.operation, NAME_CLASH_FAULT)
         except UnknownService:
             handle.send_fault(frame.id, frame.operation, UNKNOWN_SERVICE_FAULT)
-        except (ValidationError, StartupError, Fault):
+        except OrchestraError:
             handle.send_fault(frame.id, frame.operation, "ValidationError")
 
     # Lifecycle ------------------------------------------------------------------
@@ -515,15 +508,12 @@ def load_container(config, *, seed: int = 0, event_sink=None,
     """Build and start a container from its configuration document."""
     if isinstance(config, str):
         config = loads_strict(config)
-    if not isinstance(config, dict):
-        raise ValidationError("container configuration must be an object")
-    check_keys(config, _CONTAINER_KEYS, "container configuration")
+    check_object(config, "container configuration", optional=_CONTAINER_KEYS)
     container = Container(seed=seed, event_sink=event_sink, name=config.get("name", name))
     try:
-        definitions = [ServiceDef.from_json_obj(d) for d in config.get("services", [])]
-        embed_names = config.get("embed", [])
-        if not isinstance(embed_names, list):
-            raise ValidationError("embed must be a list of service names")
+        definitions = [ServiceDef.from_json_obj(d)
+                       for d in check_list(config.get("services", []), "services")]
+        embed_names = check_names(config.get("embed", []), "embed")
         known = {d.name for d in definitions}
         for embed_name in embed_names:
             if embed_name not in known:
@@ -540,12 +530,15 @@ def load_container(config, *, seed: int = 0, event_sink=None,
         for resource, target in redirects.items():
             container.set_redirect(resource, target)
         if aggregate is not None:
-            if not isinstance(aggregate, dict):
-                raise ValidationError("aggregate must be an object")
-            container.set_aggregation(aggregate.get("publish", []),
-                                      aggregate.get("map", {}))
+            check_object(aggregate, "aggregate", optional=_AGGREGATE_KEYS)
+            mapping = aggregate.get("map", {})
+            if not isinstance(mapping, dict):
+                raise ValidationError("aggregate.map must be an object")
+            container.set_aggregation(check_names(aggregate.get("publish", []), "aggregate.publish"),
+                                      {op: check_name(target, f"aggregate.map.{op}")
+                                       for op, target in mapping.items()})
         if "gateway" in config:
-            container.serve_gateway(config["gateway"])
+            container.serve_gateway(parse_location(config["gateway"]))
         if not any(d.behaviour.firing for d in definitions):
             container.warnings.append(NO_FIRING_WARNING)
     except Exception:

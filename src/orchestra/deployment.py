@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from . import frames
+from .behaviour import check_object
 from .correlation import Message
 from .errors import (
     DecodeError, Fault, IO_FAULT, PROTOCOL_FAULT, TYPE_FAULT, UNKNOWN_OPERATION,
@@ -53,15 +54,6 @@ OUTPUT_KINDS = (NOTIFICATION, SOLICIT_RESPONSE)
 PROTOCOL_ID = "frame/1"
 
 _FIELD_TYPES = ("string", "int", "double", "bool", "any")
-_DECL_KEYS = frozenset({"kind", "request", "response"})
-
-
-def check_keys(doc: dict, allowed: frozenset[str], where: str) -> None:
-    """Reject a document object holding a key outside ``allowed``, so that
-    nothing in a loaded document is silently ignored."""
-    unknown = doc.keys() - allowed
-    if unknown:
-        raise ValidationError(f"{where}: unknown keys {sorted(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -127,9 +119,8 @@ class Interface:
             raise ValidationError("interface must be an object of operation declarations")
         ops = {}
         for name, body in obj.items():
-            if not isinstance(body, dict) or "kind" not in body:
-                raise ValidationError(f"operation {name!r} needs a kind")
-            check_keys(body, _DECL_KEYS, f"operation {name!r}")
+            check_object(body, f"operation {name!r}", frozenset({"kind"}),
+                         frozenset({"request", "response"}))
             ops[name] = OperationDecl(
                 name=name,
                 kind=body["kind"],
@@ -366,6 +357,17 @@ def sync_request(conn: Connection, op: str, payload: State, resource: str = "",
     return slot[0]
 
 
+def _checked_response(decl: OperationDecl, result: CallResult) -> CallResult:
+    """``result``, or a ``TypeFault`` in its place when its payload does not
+    conform to the response ``decl`` declares."""
+    if result.fault is None:
+        try:
+            decl.response.check(result.payload, f"solicit {decl.name} response")
+        except Fault as f:
+            return CallResult(fault=f.name)
+    return result
+
+
 class OutputPortRuntime:
     """A deployed output port: lazy connection, notify and solicit."""
 
@@ -398,13 +400,16 @@ class OutputPortRuntime:
         """Send a request frame; the callback fires when its answer arrives."""
         decl = self._decl(op, SOLICIT_RESPONSE)
         decl.request.check(payload, f"solicit {op}")
-        return self._connection().send_request(op, payload, self.port.resource, on_result)
+        return self._connection().send_request(
+            op, payload, self.port.resource,
+            lambda result: on_result(_checked_response(decl, result)))
 
     def solicit(self, op: str, payload: State, timeout: float | None = 10.0) -> State:
         """Blocking solicit; re-raises a remote fault under its own name."""
         decl = self._decl(op, SOLICIT_RESPONSE)
         decl.request.check(payload, f"solicit {op}")
-        result = sync_request(self._connection(), op, payload, self.port.resource, timeout)
+        result = _checked_response(decl, sync_request(
+            self._connection(), op, payload, self.port.resource, timeout))
         if result.fault is not None:
             raise Fault(result.fault)
         return result.payload

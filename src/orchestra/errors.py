@@ -17,12 +17,16 @@ class OrchestraError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class ParseError(OrchestraError):
-    """A document (behaviour, expression, config) is not well-formed."""
-
-
 class ValidationError(OrchestraError):
-    """A well-formed document violates a structural invariant."""
+    """A document (service, container, behaviour, payload) is rejected at
+    load.  Every catcher of a bad document catches this one class."""
+
+
+class ParseError(ValidationError):
+    """A document's shape is wrong: an object that is not one, a missing or
+    unknown key, a value of the wrong type, or an expression that does not
+    parse.  A kind of ``ValidationError``; the rest of that family are
+    well-formed documents that break a structural invariant."""
 
 
 class EncodeError(OrchestraError):

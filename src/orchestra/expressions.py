@@ -1,7 +1,8 @@
 """A small infix expression language evaluated over a state.
 
 Expressions arrive as plain strings inside behaviour documents.  The
-grammar has one canonical precedence table, lowest first:
+grammar has one canonical precedence table, lowest first (the parser
+reads it from ``_LEVELS``):
 
     or
     and
@@ -111,93 +112,66 @@ def _unquote(raw: str) -> str:
     return "".join(out)
 
 
+# The precedence table of docs/expressions.md, loosest binding first: the
+# operators of each level and how they combine.  ``left`` chains
+# left-associatively, ``single`` takes at most one operator, ``prefix``
+# applies to an operand of its own level.  Past the last level come the
+# literals, variables and parentheses of ``primary``.
+_LEVELS = (
+    ({"or"}, "left"),
+    ({"and"}, "left"),
+    ({"not"}, "prefix"),
+    (set(_COMPARISONS), "single"),
+    ({"+", "-"}, "left"),
+    ({"*", "/"}, "left"),
+    ({"-"}, "prefix"),
+)
+
+# Closes every token list, so the parser never reads past the end.
+_END = ("end", "")
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
-        self.tokens = _tokenize(text)
+        self.tokens = _tokenize(text) + [_END]
         self.pos = 0
 
-    def peek(self) -> tuple[str, str] | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
     def take(self) -> tuple[str, str]:
-        tok = self.peek()
-        if tok is None:
+        tok = self.tokens[self.pos]
+        if tok is _END:
             raise ParseError(f"unexpected end of expression: {self.text!r}")
         self.pos += 1
         return tok
 
-    def expect_op(self, op: str) -> None:
-        tok = self.take()
-        if tok != ("op", op):
-            raise ParseError(f"expected {op!r}, got {tok[1]!r} in {self.text!r}")
-
-    def at_op(self, *ops: str) -> str | None:
-        tok = self.peek()
-        if tok is not None and tok[0] == "op" and tok[1] in ops:
-            return tok[1]
+    def take_op(self, ops: set[str]) -> str | None:
+        """The next token's text, taken, when it is one of ``ops``.  Operators
+        and keywords are the only tokens whose text can be in ``ops``."""
+        text = self.tokens[self.pos][1]
+        if text in ops:
+            self.pos += 1
+            return text
         return None
 
-    def at_keyword(self, word: str) -> bool:
-        return self.peek() == ("name", word)
-
     def parse(self) -> Expr:
-        node = self.or_expr()
-        if self.peek() is not None:
-            raise ParseError(f"trailing input {self.peek()[1]!r} in {self.text!r}")
+        node = self.level(0)
+        if self.tokens[self.pos] is not _END:
+            raise ParseError(f"trailing input {self.tokens[self.pos][1]!r} in {self.text!r}")
         return node
 
-    def or_expr(self) -> Expr:
-        node = self.and_expr()
-        while self.at_keyword("or"):
-            self.take()
-            node = Binary("or", node, self.and_expr())
+    def level(self, i: int) -> Expr:
+        if i == len(_LEVELS):
+            return self.primary()
+        ops, how = _LEVELS[i]
+        if how == "prefix":
+            op = self.take_op(ops)
+            return Unary(op, self.level(i)) if op else self.level(i + 1)
+        node = self.level(i + 1)
+        while op := self.take_op(ops):
+            node = Binary(op, node, self.level(i + 1))
+            if how == "single":
+                break
         return node
-
-    def and_expr(self) -> Expr:
-        node = self.not_expr()
-        while self.at_keyword("and"):
-            self.take()
-            node = Binary("and", node, self.not_expr())
-        return node
-
-    def not_expr(self) -> Expr:
-        if self.at_keyword("not"):
-            self.take()
-            return Unary("not", self.not_expr())
-        return self.comparison()
-
-    def comparison(self) -> Expr:
-        node = self.additive()
-        op = self.at_op(*_COMPARISONS)
-        if op is not None:
-            self.take()
-            node = Binary(op, node, self.additive())
-        return node
-
-    def additive(self) -> Expr:
-        node = self.multiplicative()
-        while True:
-            op = self.at_op("+", "-")
-            if op is None:
-                return node
-            self.take()
-            node = Binary(op, node, self.multiplicative())
-
-    def multiplicative(self) -> Expr:
-        node = self.unary()
-        while True:
-            op = self.at_op("*", "/")
-            if op is None:
-                return node
-            self.take()
-            node = Binary(op, node, self.unary())
-
-    def unary(self) -> Expr:
-        if self.at_op("-"):
-            self.take()
-            return Unary("-", self.unary())
-        return self.primary()
 
     def primary(self) -> Expr:
         kind, text = self.take()
@@ -225,8 +199,9 @@ class _Parser:
                 raise ParseError(f"keyword {text!r} used as a value in {self.text!r}")
             return Var(text)
         if (kind, text) == ("op", "("):
-            node = self.or_expr()
-            self.expect_op(")")
+            node = self.level(0)
+            if self.take() != ("op", ")"):
+                raise ParseError(f"expected ')' in {self.text!r}")
             return node
         raise ParseError(f"unexpected token {text!r} in {self.text!r}")
 
@@ -235,7 +210,10 @@ def parse(text: str) -> Expr:
     """Parse an expression string into its tree form."""
     if not isinstance(text, str):
         raise ParseError(f"expression must be a string, got {type(text).__name__}")
-    return _Parser(text).parse()
+    try:
+        return _Parser(text).parse()
+    except RecursionError:
+        raise ParseError(f"expression nested too deeply: {text[:40]!r}...") from None
 
 
 def _check_int64(n: int) -> int:

@@ -118,10 +118,38 @@ def test_receive_reply_receive_is_fine():
     {"mystery": []},
     "nope",
     {"seq": [], "par": []},
+    # node bodies of the wrong shape
+    {"if": 5},
+    {"if": ["cond"]},
+    {"if": "cond"},
+    {"while": 5},
+    {"while": ["cond"]},
+    {"reply": 5},
+    {"reply": ["op"]},
+    {"notify": "port"},
+    {"solicit": "p"},
+    {"solicit": None},
+    {"scope": 5},
+    {"scope": {"name": "s", "body": "nil", "faults": "x"}},
+    {"scope": {"name": "s", "body": "nil", "faults": []}},
+    # key typos
+    {"receive": {"op": "x", "intoo": "m"}},
+    {"if": {"cond": "true", "then": "nil", "els": "nil"}},
+    {"scope": {"name": "s", "body": "nil", "onTerminat": "nil"}},
+    # values of the wrong type
+    {"solicit": {"port": "p", "op": "x", "payload": {}, "into": 0}},
 ])
 def test_malformed_nodes_rejected(bad):
     with pytest.raises(ParseError):
         parse_activity(bad)
+
+
+def test_a_behaviour_nested_too_deeply_is_a_parse_error():
+    doc = "nil"
+    for _ in range(2000):
+        doc = {"seq": [doc]}
+    with pytest.raises(ParseError):
+        parse_behaviour(doc)
 
 
 def test_bad_expression_rejected_at_parse_time():

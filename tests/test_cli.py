@@ -44,6 +44,15 @@ def test_check_invalid_behaviour(tmp_path, capsys):
     assert "ValidationError" in capsys.readouterr().err
 
 
+def test_check_reports_a_malformed_document_as_one_json_line(tmp_path, capsys):
+    service = {**FIRING_CONFIG["services"][0], "behaviour": {"if": ["cond"]}}
+    path = write_config(tmp_path, {"services": [service]})
+    assert cli.main(["check", path]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "ParseError"
+
+
 def test_check_missing_file():
     assert cli.main(["check", "/nonexistent/nope.json"]) == 2
 

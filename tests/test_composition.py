@@ -13,7 +13,8 @@ from orchestra.composition import (
 )
 from orchestra.demos import calculator_def, free_port
 from orchestra.deployment import (
-    Connection, Interface, MessageType, OperationDecl, sync_request,
+    Connection, Interface, LocalLocation, MessageType, OperationDecl, OutputPort,
+    OutputPortRuntime, sync_request,
 )
 from orchestra.errors import (
     Fault, InterfaceClash, NameClash, UnknownService, ValidationError,
@@ -66,6 +67,41 @@ def test_simple_composition_over_sockets(containers):
     _, completion, local = engine.session_view(1)
     assert completion.kind == "success"
     assert local.lookup("got_r") == 42
+
+
+def test_a_solicit_response_must_conform_to_the_declared_response(containers):
+    """The output port declares ``r`` a string; the calculator answers an int."""
+    load, _ = containers
+    declared = {"calc": {"kind": "SolicitResponse", "response": {"r": "string"}}}
+    probe = {
+        "name": "probe",
+        "interface": {},
+        "behaviour": {"scope": {
+            "name": "s",
+            "body": {"solicit": {"port": "toCalc", "op": "calc",
+                                 "payload": {"op": "'sum'", "a": "1", "b": "2", "rid": "1"},
+                                 "into": "got"}},
+            "faults": {"TypeFault": {"assign": ["caught", "true"]}}}},
+        "engine": {"mode": "concurrent", "firing": True, "initiators": []},
+        "outputPorts": [{"name": "toCalc", "location": "local://calc", "interface": declared}],
+    }
+    c = load({"services": [calculator_def("local://calc", "calc"), probe]})
+    engine = c.services["probe"].engine
+    assert engine.wait_all_finished(5.0)
+    _, completion, local = engine.session_view(1)
+    assert completion.kind == "success"
+    assert local.lookup("caught") is True
+    assert "got_r" not in local
+
+    port = OutputPortRuntime(
+        OutputPort("toCalc", LocalLocation("calc"), Interface.from_json_obj(declared)),
+        c.connect)
+    try:
+        with pytest.raises(Fault) as e:
+            port.solicit("calc", calc_payload("sum", 1, 2, "2"), timeout=5.0)
+    finally:
+        port.close()
+    assert e.value.name == "TypeFault"
 
 
 def test_no_firing_session_warning(containers):
@@ -148,6 +184,27 @@ def test_embed_name_clash(containers):
     c.embed(calculator_def("local://calc", "calc"))
     with pytest.raises(NameClash):
         c.embed(calculator_def("local://calc2", "calc"))
+
+
+def test_the_control_port_answers_every_failed_embed(containers, tmp_path):
+    """A failed embed is answered and the connection keeps serving."""
+    _, track = containers
+    c = track(Container())
+    c.serve_control()
+    bad_storage = calculator_def("local://a", "a")
+    bad_storage["engine"]["storage"] = str(tmp_path)  # a directory, not a store
+    bad_expression = calculator_def("local://b", "b")
+    bad_expression["behaviour"] = {"assign": ["x", "1 +"]}
+    documents = [json.dumps(bad_storage), json.dumps(bad_expression), "[" * 100_000,
+                 json.dumps(calculator_def("local://c", "c"))]
+    conn = Connection(c.registry.connect("_control"))
+    try:
+        answers = [sync_request(conn, "embed", State({"service": doc}), timeout=3.0)
+                   for doc in documents]
+    finally:
+        conn.close()
+    assert [a.fault for a in answers] == ["ValidationError"] * 3 + [None]
+    assert answers[3].payload.lookup("name") == "c"
 
 
 def test_unembed_unknown_service(containers):
@@ -360,6 +417,43 @@ def test_unknown_keys_in_a_service_document_are_rejected(typo):
     typo(doc)
     with pytest.raises(ValidationError, match="unknown keys"):
         ServiceDef.from_json_obj(doc)
+
+
+@pytest.mark.parametrize("path, value, match", [
+    (("services", 0, "engine", "storage"), 5, "storage"),
+    (("services", 0, "engine", "storage"), "", "storage"),
+    (("services", 0, "engine"), [], "engine"),
+    (("services", 0, "engine"), 0, "engine"),
+    (("services", 0, "engine"), False, "engine"),
+    (("services", 0, "engine"), "", "engine"),
+    (("services", 0, "engine"), None, "engine"),
+    (("services", 0, "inputPorts"), 5, "inputPorts"),
+    (("services", 0, "inputPorts", 0, "name"), 7, "name"),
+    (("services", 0, "inputPorts", 0, "interface"), 5, "interface"),
+    (("services", 0, "outputPorts"), 5, "outputPorts"),
+    (("services", 0, "outputPorts"),
+     [{"name": 7, "location": "local://x", "interface": {"tell": {"kind": "Notification"}}}],
+     "name"),
+    (("services", 0, "outputPorts"),
+     [{"name": "o", "location": "local://x", "resource": 5,
+       "interface": {"tell": {"kind": "Notification"}}}],
+     "resource"),
+    (("services",), 5, "services"),
+    (("gateway",), 5, "location"),
+    (("aggregate",), {"publish": 5, "map": {}}, "publish"),
+    (("aggregate",), {"publsh": ["calc"], "map": {"calc": "calcsvc"}}, "unknown keys"),
+    (("aggregate",), {"publish": [], "map": []}, "map"),
+])
+def test_document_values_of_the_wrong_type_are_rejected(containers, path, value, match):
+    load, _ = containers
+    config = {"services": [calculator_def()], "gateway": "local://gw"}
+    *parents, last = path
+    target = config
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    with pytest.raises(ValidationError, match=match):
+        load(config)
 
 
 def test_message_type_field_names_are_variable_names():

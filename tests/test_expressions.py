@@ -19,6 +19,34 @@ def test_arithmetic_and_variables():
     assert ev("-a", {"a": 5}) == -5
 
 
+a, b, c = E.Var("a"), E.Var("b"), E.Var("c")
+
+
+@pytest.mark.parametrize("text, tree", [
+    # one case per boundary between adjacent levels of the precedence table
+    ("a or b and c", E.Binary("or", a, E.Binary("and", b, c))),
+    ("not a and b", E.Binary("and", E.Unary("not", a), b)),
+    ("not a == b", E.Unary("not", E.Binary("==", a, b))),
+    ("a + b < c", E.Binary("<", E.Binary("+", a, b), c)),
+    ("a + b * c", E.Binary("+", a, E.Binary("*", b, c))),
+    ("-a * b", E.Binary("*", E.Unary("-", a), b)),
+    ("-(a + b)", E.Unary("-", E.Binary("+", a, b))),
+    # left association and repeated prefixes
+    ("a - b - c", E.Binary("-", E.Binary("-", a, b), c)),
+    ("- - a", E.Unary("-", E.Unary("-", a))),
+    ("not not a", E.Unary("not", E.Unary("not", a))),
+])
+def test_precedence_table(text, tree):
+    assert E.parse(text) == tree
+
+
+def test_left_association_and_repeated_prefixes_evaluate():
+    assert ev("7 - 2 - 1 == 4") is True
+    assert ev("8 / 2 / 2 == 2") is True
+    assert ev("- - 1") == 1
+    assert ev("not not true") is True
+
+
 def test_comparisons_and_booleans():
     assert ev("a == 1", {"a": 1}) is True
     assert ev("a != 1", {"a": 1}) is False
@@ -107,6 +135,7 @@ def test_string_escapes():
 
 @pytest.mark.parametrize("bad", [
     "1 +", "(1", "1 < 2 < 3", "and 1", "2 $ 2", "'unterminated", "true true",
+    "(" * 500 + "1" + ")" * 500,
 ])
 def test_parse_errors(bad):
     with pytest.raises(ParseError):
