@@ -14,6 +14,7 @@ the flat variable-name grammar is preserved.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import expressions
 from .errors import ParseError, ValidationError
@@ -119,10 +120,10 @@ class BehaviourDef:
     initiators: frozenset[str] = frozenset()
     firing: bool = False
 
-
-def join_prefix(prefix: str, field_name: str) -> str:
-    """Variable name for a message field landed under an input prefix."""
-    return f"{prefix}_{field_name}" if prefix else field_name
+    @cached_property
+    def uses(self) -> "Uses":
+        """What the activity tree uses, from one walk, made once."""
+        return _survey(self.root)
 
 
 def check_object(doc, where: str, required: frozenset[str] = frozenset(),
@@ -280,73 +281,74 @@ def _children(act: Activity) -> tuple[Activity, ...]:
     return ()
 
 
-def _walk(act: Activity):
-    yield act
-    for c in _children(act):
-        yield from _walk(c)
+@dataclass(frozen=True)
+class Uses:
+    """What an activity tree uses and the rule breaks in it, from one walk.
+
+    ``reused_scopes`` holds each scope name reused on a nested path, and
+    ``double_receives`` each operation received a second time before its
+    reply in one flat ``seq`` (scope handlers included), both in walk order.
+    Only plainly sequential bodies count: anything hidden behind loops,
+    branches or parallel joins is left to the runtime, which answers it
+    with a ``ProtocolFault``."""
+
+    receives: frozenset[str]
+    replies: frozenset[str]
+    output_ports: frozenset[tuple[str, str]]  # (port, operation) of notify and solicit
+    reused_scopes: tuple[str, ...]
+    double_receives: tuple[str, ...]
 
 
-def receive_ops(act: Activity) -> set[str]:
-    return {a.op for a in _walk(act) if isinstance(a, Receive)}
+def _survey(root: Activity) -> Uses:
+    receives: set[str] = set()
+    replies: set[str] = set()
+    ports: set[tuple[str, str]] = set()
+    reused: list[str] = []
+    doubles: list[str] = []
 
+    def visit(act: Activity, path: frozenset[str]) -> None:
+        kind = type(act)
+        if kind is Receive:
+            receives.add(act.op)
+        elif kind is Reply:
+            replies.add(act.op)
+        elif kind is Notify or kind is Solicit:
+            ports.add((act.port, act.op))
+        elif kind is Scope:
+            if act.name in path:
+                reused.append(act.name)
+            path = path | {act.name}
+        if kind is Sequence:
+            open_ops: set[str] = set()
+            for c in act.children:
+                if type(c) is Receive:
+                    if c.op in open_ops:
+                        doubles.append(c.op)
+                    open_ops.add(c.op)
+                elif type(c) is Reply:
+                    open_ops.discard(c.op)
+                visit(c, path)
+        else:
+            for c in _children(act):
+                visit(c, path)
 
-def reply_ops(act: Activity) -> set[str]:
-    return {a.op for a in _walk(act) if isinstance(a, Reply)}
-
-
-def referenced_output_ports(act: Activity) -> set[tuple[str, str]]:
-    """(port, operation) pairs used by notify and solicit nodes."""
-    out = set()
-    for a in _walk(act):
-        if isinstance(a, (Notify, Solicit)):
-            out.add((a.port, a.op))
-    return out
-
-
-def _check_scope_names(act: Activity, path: frozenset[str]) -> None:
-    if isinstance(act, Scope):
-        if act.name in path:
-            raise ValidationError(f"scope name {act.name!r} reused on a nested path")
-        path = path | {act.name}
-    for c in _children(act):
-        _check_scope_names(c, path)
-
-
-def _check_flat_double_receive(act: Activity, rr_ops: set[str]) -> None:
-    """Reject a second receive before a reply when visible in one flat seq,
-    wherever that seq sits, scope handlers included.
-
-    Only plainly sequential bodies are checked; anything hidden behind
-    loops, branches, or parallel joins is left to the runtime, which
-    answers with a ProtocolFault instead.
-    """
-    if isinstance(act, Sequence):
-        open_ops: set[str] = set()
-        for c in act.children:
-            if isinstance(c, Receive) and c.op in rr_ops:
-                if c.op in open_ops:
-                    raise ValidationError(
-                        f"second receive on {c.op!r} before its reply"
-                    )
-                open_ops.add(c.op)
-            elif isinstance(c, Reply):
-                open_ops.discard(c.op)
-            else:
-                _check_flat_double_receive(c, rr_ops)
-    else:
-        for c in _children(act):
-            _check_flat_double_receive(c, rr_ops)
+    visit(root, frozenset())
+    return Uses(frozenset(receives), frozenset(replies), frozenset(ports),
+                tuple(reused), tuple(doubles))
 
 
 def validate_behaviour(b: BehaviourDef) -> BehaviourDef:
     if not b.firing and not b.initiators:
         raise ValidationError("behaviour is not firing and declares no initiator operations")
-    received = receive_ops(b.root)
-    for op in sorted(reply_ops(b.root)):
-        if op not in received:
-            raise ValidationError(f"reply on {op!r} has no receive for that operation")
-    _check_scope_names(b.root, frozenset())
-    _check_flat_double_receive(b.root, reply_ops(b.root))
+    uses = b.uses
+    unasked = sorted(uses.replies - uses.receives)
+    if unasked:
+        raise ValidationError(f"reply on {unasked[0]!r} has no receive for that operation")
+    if uses.reused_scopes:
+        raise ValidationError(f"scope name {uses.reused_scopes[0]!r} reused on a nested path")
+    doubles = [op for op in uses.double_receives if op in uses.replies]
+    if doubles:
+        raise ValidationError(f"second receive on {doubles[0]!r} before its reply")
     return b
 
 

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from . import frames
 from .behaviour import (
     BehaviourDef, check_list, check_name, check_names, check_object, parse_behaviour,
-    receive_ops, referenced_output_ports, reply_ops,
 )
 from .correlation import CorrelationConfig
 from .deployment import (
@@ -126,7 +125,8 @@ class ServiceDef:
             if self.interface.kind_of(op) not in INPUT_KINDS:
                 raise ValidationError(
                     f"service {self.name!r}: initiator {op!r} is not a declared input operation")
-        for op in sorted(receive_ops(self.behaviour.root) | reply_ops(self.behaviour.root)):
+        uses = self.behaviour.uses
+        for op in sorted(uses.receives | uses.replies):
             if self.interface.kind_of(op) not in INPUT_KINDS:
                 raise ValidationError(
                     f"service {self.name!r}: behaviour receives {op!r}, not a declared input operation")
@@ -137,7 +137,7 @@ class ServiceDef:
         by_name = {p.name: p for p in self.output_ports}
         if len(by_name) != len(self.output_ports):
             raise ValidationError(f"service {self.name!r}: duplicate output port names")
-        for port_name, op in sorted(referenced_output_ports(self.behaviour.root)):
+        for port_name, op in sorted(uses.output_ports):
             port = by_name.get(port_name)
             if port is None:
                 raise ValidationError(

@@ -23,14 +23,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any, Iterable, NamedTuple
 
 from .errors import ValidationError
 from .state import EMPTY, State, UNDEFINED, Value, check_var_name, values_equal
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     """An operation invocation in flight: name, flat payload, addressing."""
 
     operation: str
@@ -42,7 +41,7 @@ class Message:
 class CorrelationFunction:
     """Injective map from message field names to state variable names."""
 
-    __slots__ = ("_mapping",)
+    __slots__ = ("_mapping", "pairs")
 
     def __init__(self, mapping: dict[str, str] | None = None):
         mapping = dict(mapping or {})
@@ -56,9 +55,8 @@ class CorrelationFunction:
                 )
             seen_vars[field_name] = var_name
         self._mapping = mapping
-
-    def get(self, field_name: str) -> str | None:
-        return self._mapping.get(field_name)
+        # (field, variable) pairs in field name order
+        self.pairs = tuple(sorted(mapping.items()))
 
     def codomain(self) -> frozenset[str]:
         return frozenset(self._mapping.values())
@@ -115,14 +113,13 @@ def correlates(message: Message, cfun: CorrelationFunction, s: State) -> bool:
     True iff every payload field the function correlates maps to a state
     variable that is either unbound or bound to exactly the field's value.
     """
-    for field_name in message.payload:
-        var = cfun.get(field_name)
-        if var is None:
-            continue
+    payload = message.payload
+    for field_name, var in cfun.pairs:
         bound = s.lookup(var)
         if bound is UNDEFINED:
             continue
-        if not values_equal(bound, message.payload.lookup(field_name)):
+        value = payload.lookup(field_name)
+        if value is not UNDEFINED and not values_equal(bound, value):
             return False
     return True
 
@@ -134,12 +131,10 @@ def bind_correlation(message: Message, cfun: CorrelationFunction, s: State) -> S
     left untouched and non-correlated fields never bind anything.
     """
     out = s
-    for field_name in sorted(message.payload.names()):
-        var = cfun.get(field_name)
-        if var is None:
-            continue
-        if out.lookup(var) is UNDEFINED:
-            out = out.update(var, message.payload.lookup(field_name))
+    for field_name, var in cfun.pairs:
+        value = message.payload.lookup(field_name)
+        if value is not UNDEFINED and out.lookup(var) is UNDEFINED:
+            out = out.update(var, value)
     return out
 
 
@@ -213,11 +208,11 @@ class CorrelationIndex:
         """Sessions that may match ``message``; None when it correlates no
         field, so that every session may match."""
         slots = []
-        for field_name in message.payload:
-            var = cfun.get(field_name)
-            if var is None:
+        for field_name, var in cfun.pairs:
+            value = message.payload.lookup(field_name)
+            if value is UNDEFINED:
                 continue
-            bound = self._bound[var].get(_key(message.payload.lookup(field_name)), ())
+            bound = self._bound[var].get(_key(value), ())
             slots.append((bound, self._unbound[var]))
         if not slots:
             return None

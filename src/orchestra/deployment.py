@@ -41,7 +41,7 @@ from .errors import (
 )
 from .frames import Frame
 from .interpreter import CallResult
-from .state import State, check_var_name, value_kind
+from .state import State, UNDEFINED, check_var_name, value_kind
 
 ONE_WAY = "OneWay"
 REQUEST_RESPONSE = "RequestResponse"
@@ -53,7 +53,9 @@ OUTPUT_KINDS = (NOTIFICATION, SOLICIT_RESPONSE)
 
 PROTOCOL_ID = "frame/1"
 
-_FIELD_TYPES = ("string", "int", "double", "bool", "any")
+# Each field type but ``any``: the Python type of its values.
+_VARIANTS = {"string": str, "int": int, "double": float, "bool": bool}
+_FIELD_TYPES = (*_VARIANTS, "any")
 
 
 @dataclass(frozen=True)
@@ -78,11 +80,11 @@ class MessageType:
         for name, tag in self.fields:
             if tag == "any":
                 continue
-            if name not in payload:
+            v = payload.lookup(name)
+            if v is UNDEFINED:
                 raise Fault(TYPE_FAULT, f"{where}: missing field {name!r}")
-            got = value_kind(payload.lookup(name))
-            if got != tag:
-                raise Fault(TYPE_FAULT, f"{where}: field {name!r} is {got}, wants {tag}")
+            if type(v) is not _VARIANTS[tag]:
+                raise Fault(TYPE_FAULT, f"{where}: field {name!r} is {value_kind(v)}, wants {tag}")
 
 
 @dataclass(frozen=True)
@@ -342,16 +344,18 @@ def reconnect(conn: Connection | None, connector: Connector, location: Location)
 
 def sync_request(conn: Connection, op: str, payload: State, resource: str = "",
                  timeout: float | None = 10.0) -> CallResult:
-    """One blocking call over an existing connection; resource set per call."""
-    done = threading.Event()
+    """One blocking call over an existing connection; resource set per call.
+    The caller waits on a lock it holds, which the answer releases."""
+    done = threading.Lock()
+    done.acquire()
     slot: list[CallResult] = []
 
     def on_result(result: CallResult) -> None:
         slot.append(result)
-        done.set()
+        done.release()
 
     frame_id = conn.send_request(op, payload, resource, on_result)
-    if not done.wait(timeout):
+    if not done.acquire(timeout=-1 if timeout is None else timeout):
         conn.forget(frame_id)
         raise Fault(IO_FAULT, f"no response to {op!r} within {timeout}s")
     return slot[0]

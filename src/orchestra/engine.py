@@ -21,11 +21,16 @@ through ``Engine.global_read``, ``global_write``, ``global_add`` and
 
 Sessions execute on a single driver thread that repeatedly picks one
 ready (session, strand) pair with a seeded generator, so a fixed seed
-fixes every scheduling choice.  In sequential mode only the oldest live
-session runs and the younger ones wait for it to finish, which is exactly
-what lets call cycles deadlock; a watchdog reports that quiescence instead
-of hanging silently.  Between events the driver sleeps until the
-watchdog's next deadline.
+fixes every scheduling choice.  The driver takes the engine lock once per
+step: the round that picks a step also does the bookkeeping of the step
+before it (its session is touched, and ended if the step ended it), and
+the step itself runs outside the lock.  A step that raises an error other
+than a fault ends only its own session, as ``fault(IOFault)``.
+
+In sequential mode only the oldest live session runs and the younger ones
+wait for it to finish, which is exactly what lets call cycles deadlock; a
+watchdog reports that quiescence instead of hanging silently.  Between
+events the driver sleeps until the watchdog's next deadline.
 
 Every event record is built once and handed to one sink under the engine
 lock, so the records of all threads form one order and their ``ts`` never
@@ -54,10 +59,11 @@ import itertools
 import random
 import threading
 import time
+import traceback
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict, deque
-from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 from .behaviour import BehaviourDef
 from .correlation import (
@@ -65,11 +71,12 @@ from .correlation import (
 )
 from .deployment import Interface, INPUT_KINDS, OutputPortRuntime, REQUEST_RESPONSE
 from .errors import (
-    CORRELATION_ERROR, Fault, IO_FAULT, PROTOCOL_FAULT, SESSION_ENDED, StartupError,
-    TERMINATED_FAULT, TYPE_FAULT, UNKNOWN_OPERATION,
+    CORRELATION_ERROR, EncodeError, Fault, IO_FAULT, PROTOCOL_FAULT, SESSION_ENDED,
+    StartupError, TERMINATED_FAULT, TYPE_FAULT, UNKNOWN_OPERATION,
 )
 from .interpreter import (
     CallResult, Completion, SessionContext, SessionRunner, Strand, TERMINATED,
+    fault_completion,
 )
 from .state import EMPTY, State, UNDEFINED, Value
 from .storage import Storage
@@ -88,9 +95,12 @@ STOP_STEP_BUDGET = 100_000
 
 _pair_sid = itemgetter(0)
 
+# How a session ends when one of its steps raises an error that is not a
+# fault: the error is no part of the behaviour, so no handler sees it.
+_STEP_FAILED = fault_completion(IO_FAULT)
 
-@dataclass(frozen=True)
-class RoutingOutcome:
+
+class RoutingOutcome(NamedTuple):
     kind: str  # "delivered" | "created" | "queued" | "rejected"
     session_id: int | None = None
     fault: str | None = None
@@ -123,15 +133,15 @@ class Session(SessionContext):
             return "running"
         return "blocked"
 
-    def set_var(self, name: str, value) -> None:
-        """Bind a local variable under the engine lock: a message binding a
-        correlation variable of this session meanwhile is not lost, and the
-        routing index stays in step with ``local``."""
+    def bind(self, bindings: dict[str, Value]) -> None:
+        """Bind local variables in one update under the engine lock: a
+        message binding a correlation variable of this session meanwhile is
+        not lost, and the routing index stays in step with ``local``."""
         engine = self._engine
         with engine._lock:
             old = self.local
-            self.local = old.update(name, value)
-            engine._index.rebind(self.sid, name, old.lookup(name), value)
+            self.local = new = old.bind(bindings)
+            engine._index.update(self.sid, old, new)
 
     def has_message(self, op: str) -> bool:
         with self._engine._lock:
@@ -164,17 +174,27 @@ class Session(SessionContext):
             decl.response.check(payload, f"reply {op}")
         handle, request_id = pending
         if handle is not None:
-            handle.send_response(request_id, op, payload)
+            try:
+                handle.send_response(request_id, op, payload)
+            except EncodeError as e:
+                self.pending_replies[op] = pending  # not answered: still owed
+                raise Fault(IO_FAULT, str(e)) from e
 
     def notify(self, port: str, op: str, payload: State) -> None:
-        self._engine._output(port).notify(op, payload)
+        try:
+            self._engine._output(port).notify(op, payload)
+        except EncodeError as e:
+            raise Fault(IO_FAULT, str(e)) from e
 
     def begin_solicit(self, port: str, op: str, payload: State) -> int:
         engine = self._engine
         token = next(engine._tokens)
-        engine._output(port).solicit_begin(
-            op, payload, lambda result: engine._post_response(self, token, result)
-        )
+        try:
+            engine._output(port).solicit_begin(
+                op, payload, lambda result: engine._post_response(self, token, result)
+            )
+        except EncodeError as e:
+            raise Fault(IO_FAULT, str(e)) from e
         return token
 
     def response_ready(self, token: int) -> bool:
@@ -278,7 +298,8 @@ class Engine:
         A message may beat the engine's own start by a moment when
         listeners come up first; wait out that window instead of failing.
         """
-        if not self._started.wait(timeout=5.0):
+        started = self._started
+        if not started.is_set() and not started.wait(timeout=5.0):
             raise StartupError("engine not started")
         if self._stop_requested:
             return RoutingOutcome("rejected", fault=IO_FAULT)
@@ -287,7 +308,7 @@ class Engine:
             self._emit("message_rejected", op=m.operation, fault=UNKNOWN_OPERATION)
             return RoutingOutcome("rejected", fault=UNKNOWN_OPERATION)
         cfun = self._correlation.function_for(m.operation)
-        with self._cond:
+        with self._lock:
             self._touch_locked()
             sids = self._index.candidates(m, cfun)
             sessions = self._sessions
@@ -331,44 +352,91 @@ class Engine:
     # Driver --------------------------------------------------------------
 
     def _drive(self) -> None:
+        """Pick and step, one engine-lock round per step: the round that
+        picks a step also does the bookkeeping of the step before it."""
+        lock, rng = self._lock, self._rng
+        session = None  # the session stepped last, if its bookkeeping is due
+        picked = -1  # where the pair stepped last sits in the ready pairs
         while True:
-            with self._cond:
+            with lock:
+                if session is not None:
+                    self._touch_locked()
+                    if changed:
+                        self._dirty.add(session.sid)
+                    if completion is not None:
+                        self._finish_session_locked(session, completion)
+                    session = None
                 if self._stop_requested:
                     break
-                pairs = self._ready_pairs_locked()
+                pairs = self._ready_pairs_locked(picked)
                 if not pairs:
+                    picked = -1
                     self._cond.wait(self._check_deadlock_locked())
                     continue
-                sid, strand = pairs[self._rng.randrange(len(pairs))]
+                picked = rng.randrange(len(pairs))
+                sid, strand = pairs[picked]
                 session = self._sessions[sid]
                 if self.log_steps:
                     self._emit("step", session=sid, strand=strand.sid)
-            session.runner.step(strand)
-            with self._cond:
-                self._touch_locked()
-                self._dirty.add(sid)
-                if session.runner.completion is not None:
-                    self._finish_session_locked(session, session.runner.completion)
+            changed, completion = self._step(session, strand)
         self._terminate_all_sessions()
 
-    def _ready_pairs_locked(self) -> list[tuple[int, Strand]]:
+    def _step(self, session: Session, strand: Strand) -> tuple[bool, Completion | None]:
+        """Step ``strand`` of ``session``, outside the engine lock: whether
+        the session's ready strands may have changed, and its completion
+        once the step has ended it.  An error that is not a fault is
+        recorded with its traceback and ends only this session, as
+        ``fault(IOFault)``, so the others keep running."""
+        try:
+            changed = session.runner.step(strand)
+        except Exception as e:
+            self._emit("step_failed", session=session.sid, error=repr(e),
+                       traceback=traceback.format_exc())
+            return True, _STEP_FAILED
+        return changed, session.runner.completion
+
+    def _ready_pairs_locked(self, picked: int = -1) -> list[tuple[int, Strand]]:
         """Every ready (session, strand) pair of the started sessions, in
         sid order and then spawn order.  In sequential mode the one started
         session is the oldest live one: before ``stop()`` only the driver
         ends sessions, and it steps only started ones, so when the oldest
-        has finished the next oldest starts."""
+        has finished the next oldest starts.
+
+        ``picked`` is the index of the pair the driver stepped last, or -1.
+        When that pair's session is the only one whose pairs may be stale,
+        its slice is found from there, without a search.  A step whose
+        session's ready strands stayed as they were leaves none stale."""
         if self.mode == SEQUENTIAL:
             oldest = next(iter(self._sessions.values()), None)
             if oldest is not None and not oldest.started:
                 self._start_session_locked(oldest)
         pairs = self._ready
-        for sid in self._dirty:
-            session = self._sessions.get(sid)
-            strands = session.runner.ready() if session is not None and session.started else []
-            lo = bisect_left(pairs, sid, key=_pair_sid)
-            pairs[lo:bisect_right(pairs, sid, lo, key=_pair_sid)] = [(sid, s) for s in strands]
-        self._dirty.clear()
+        dirty = self._dirty
+        if not dirty:
+            return pairs
+        if picked >= 0 and len(dirty) == 1 and pairs[picked][0] in dirty:
+            sid = pairs[picked][0]
+            lo, hi, end = picked, picked + 1, len(pairs)
+            while lo and pairs[lo - 1][0] == sid:
+                lo -= 1
+            while hi < end and pairs[hi][0] == sid:
+                hi += 1
+            self._refill_locked(sid, lo, hi)
+        else:
+            for sid in dirty:
+                lo = bisect_left(pairs, sid, key=_pair_sid)
+                self._refill_locked(sid, lo, bisect_right(pairs, sid, lo, key=_pair_sid))
+        dirty.clear()
         return pairs
+
+    def _refill_locked(self, sid: int, lo: int, hi: int) -> None:
+        """Replace ``_ready[lo:hi]``, session ``sid``'s pairs, with its ready
+        strands now."""
+        session = self._sessions.get(sid)
+        if session is None or not session.started:
+            del self._ready[lo:hi]
+        else:
+            self._ready[lo:hi] = zip(itertools.repeat(sid), session.runner.ready())
 
     def _finish_session_locked(self, session: Session, completion: Completion) -> None:
         """The one way a session ends.  It must not leave a request hanging
@@ -415,13 +483,14 @@ class Engine:
                 if session.completion is not None:
                     continue
                 ready = session.runner.ready()
+                completion = session.runner.completion
                 if ready and budget > 0:
-                    session.runner.step(ready[0])
+                    _, completion = self._step(session, ready[0])
                     stepped = True
                     budget -= 1
-                if session.runner.completion is not None:
+                if completion is not None:
                     with self._lock:
-                        self._finish_session_locked(session, session.runner.completion)
+                        self._finish_session_locked(session, completion)
             if not stepped:
                 break
         with self._lock:
@@ -495,7 +564,7 @@ class Engine:
         return runtime
 
     def _post_response(self, session: Session, token: int, result: CallResult) -> None:
-        with self._cond:
+        with self._lock:
             if session.completion is not None:
                 return
             session.responses[token] = result

@@ -26,32 +26,63 @@ the four value variants; errors surface as named faults:
 
 Integer division truncates toward zero.  ``+`` concatenates two strings.
 ``==``/``!=`` never fault: values of different variants are simply unequal.
+
+Every tree node compiles itself once, when it is built (that is, when the
+behaviour is parsed), into nested closures; ``evaluate`` runs them and
+walks no tree.
 """
 
 from __future__ import annotations
 
-import math
+import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from math import isfinite
+from typing import Callable
 
 from .errors import DIVISION_BY_ZERO, TYPE_FAULT, UNDEFINED_VARIABLE, Fault, ParseError
-from .state import INT64_MAX, INT64_MIN, State, UNDEFINED, Value, is_text, values_equal
+from .state import INT64_MAX, INT64_MIN, State, Value, is_text
+
+
+# A compiled expression: a function of a state's bindings.
+Compiled = Callable[[dict], Value]
 
 
 @dataclass(frozen=True)
 class Lit:
     value: Value
+    run: Compiled = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        value = self.value
+        object.__setattr__(self, "run", lambda b: value)
 
 
 @dataclass(frozen=True)
 class Var:
     name: str
+    run: Compiled = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        name = self.name
+
+        def run(b):
+            try:
+                return b[name]
+            except KeyError:
+                raise Fault(UNDEFINED_VARIABLE, name) from None
+
+        object.__setattr__(self, "run", run)
 
 
 @dataclass(frozen=True)
 class Unary:
     op: str
     operand: "Expr"
+    run: Compiled = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "run", _UNARY[self.op](self.operand.run))
 
 
 @dataclass(frozen=True)
@@ -59,6 +90,10 @@ class Binary:
     op: str
     left: "Expr"
     right: "Expr"
+    run: Compiled = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "run", _BINARY[self.op](self.left.run, self.right.run))
 
 
 Expr = Lit | Var | Unary | Binary
@@ -178,7 +213,7 @@ class _Parser:
         if kind == "number":
             if "." in text or "e" in text or "E" in text:
                 value = float(text)
-                if not math.isfinite(value):
+                if not isfinite(value):
                     raise ParseError(f"double literal out of range: {text}")
                 return Lit(value)
             n = int(text)
@@ -216,98 +251,149 @@ def parse(text: str) -> Expr:
         raise ParseError(f"expression nested too deeply: {text[:40]!r}...") from None
 
 
-def _check_int64(n: int) -> int:
-    if not (INT64_MIN <= n <= INT64_MAX):
-        raise Fault(TYPE_FAULT, "integer overflow past 64 bits")
-    return n
+# The closures each operator node compiles to, from its operands' closures.
+# Every one runs its left operand, then its right, then applies the rules
+# of the module docstring.
 
 
-def _check_double(x: float) -> float:
-    if not math.isfinite(x):
-        raise Fault(TYPE_FAULT, "double result is not finite")
-    return x
+def _int64(r: int) -> int:
+    if INT64_MIN <= r <= INT64_MAX:
+        return r
+    raise Fault(TYPE_FAULT, "integer overflow past 64 bits")
 
 
-def _trunc_div(a: int, b: int) -> int:
-    q = a // b
-    if q < 0 and q * b != a:
-        q += 1
-    return q
+def _finite(r: float) -> float:
+    if isfinite(r):
+        return r
+    raise Fault(TYPE_FAULT, "double result is not finite")
 
 
-def _numeric_pair(op: str, a: Value, b: Value) -> str:
-    ta, tb = type(a), type(b)
-    if ta is int and tb is int:
-        return "int"
-    if ta is float and tb is float:
-        return "double"
-    raise Fault(TYPE_FAULT, f"{op} needs two ints or two doubles, got {a!r} and {b!r}")
+def _arith(op: str, apply, strings: bool = False):
+    """``+``, ``-``, ``*``: two ints or two doubles, or two strings when
+    ``strings`` (``+`` concatenates)."""
+    def make(left: Compiled, right: Compiled) -> Compiled:
+        def run(b):
+            x = left(b)
+            y = right(b)
+            t = type(x)
+            if t is type(y):
+                if t is int:
+                    return _int64(apply(x, y))
+                if t is float:
+                    return _finite(apply(x, y))
+                if strings and t is str:
+                    return x + y
+            raise Fault(TYPE_FAULT, f"{op} needs two ints or two doubles, got {x!r} and {y!r}")
+        return run
+    return make
 
 
-def _eval_binary(op: str, a: Value, b: Value) -> Value:
-    if op == "==":
-        return values_equal(a, b)
-    if op == "!=":
-        return not values_equal(a, b)
-    if op in ("and", "or"):
-        if type(a) is not bool or type(b) is not bool:
-            raise Fault(TYPE_FAULT, f"{op} needs two booleans, got {a!r} and {b!r}")
-        return (a and b) if op == "and" else (a or b)
-    if op == "+":
-        if type(a) is str and type(b) is str:
-            return a + b
-        kind = _numeric_pair(op, a, b)
-        return _check_int64(a + b) if kind == "int" else _check_double(a + b)
-    if op in ("-", "*"):
-        kind = _numeric_pair(op, a, b)
-        r = a - b if op == "-" else a * b
-        return _check_int64(r) if kind == "int" else _check_double(r)
-    if op == "/":
-        kind = _numeric_pair(op, a, b)
-        if b == 0:
+def _divide(left: Compiled, right: Compiled) -> Compiled:
+    def run(b):
+        x = left(b)
+        y = right(b)
+        t = type(x)
+        if t is not type(y) or (t is not int and t is not float):
+            raise Fault(TYPE_FAULT, f"/ needs two ints or two doubles, got {x!r} and {y!r}")
+        if y == 0:
             raise Fault(DIVISION_BY_ZERO)
-        if kind == "int":
-            return _check_int64(_trunc_div(a, b))
-        return _check_double(a / b)
-    if op in _COMPARISONS:
-        ta, tb = type(a), type(b)
-        if ta is not tb or ta is bool:
-            raise Fault(TYPE_FAULT, f"{op} needs two ints, doubles, or strings, got {a!r} and {b!r}")
-        if op == "<":
-            return a < b
-        if op == "<=":
-            return a <= b
-        if op == ">":
-            return a > b
-        return a >= b
-    raise AssertionError(f"unknown operator {op}")
+        if t is float:
+            return _finite(x / y)
+        q = x // y
+        if q < 0 and q * y != x:  # truncate toward zero
+            q += 1
+        return _int64(q)
+    return run
+
+
+def _order(op: str, apply):
+    def make(left: Compiled, right: Compiled) -> Compiled:
+        def run(b):
+            x = left(b)
+            y = right(b)
+            t = type(x)
+            if t is type(y) and t is not bool:
+                return apply(x, y)
+            raise Fault(TYPE_FAULT,
+                        f"{op} needs two ints, doubles, or strings, got {x!r} and {y!r}")
+        return run
+    return make
+
+
+def _logic(op: str, apply):
+    def make(left: Compiled, right: Compiled) -> Compiled:
+        def run(b):
+            x = left(b)
+            y = right(b)
+            if type(x) is bool and type(y) is bool:
+                return apply(x, y)
+            raise Fault(TYPE_FAULT, f"{op} needs two booleans, got {x!r} and {y!r}")
+        return run
+    return make
+
+
+def _equal(left: Compiled, right: Compiled) -> Compiled:
+    def run(b):
+        x = left(b)
+        y = right(b)
+        return type(x) is type(y) and x == y
+    return run
+
+
+def _unequal(left: Compiled, right: Compiled) -> Compiled:
+    def run(b):
+        x = left(b)
+        y = right(b)
+        return type(x) is not type(y) or x != y
+    return run
+
+
+def _not(operand: Compiled) -> Compiled:
+    def run(b):
+        v = operand(b)
+        if type(v) is bool:
+            return not v
+        raise Fault(TYPE_FAULT, f"not needs a boolean, got {v!r}")
+    return run
+
+
+def _negate(operand: Compiled) -> Compiled:
+    def run(b):
+        v = operand(b)
+        t = type(v)
+        if t is int:
+            return _int64(-v)
+        if t is float:
+            return -v
+        raise Fault(TYPE_FAULT, f"unary - needs a number, got {v!r}")
+    return run
+
+
+_UNARY = {"not": _not, "-": _negate}
+
+_BINARY = {
+    "or": _logic("or", operator.or_),
+    "and": _logic("and", operator.and_),
+    "==": _equal,
+    "!=": _unequal,
+    "<": _order("<", operator.lt),
+    "<=": _order("<=", operator.le),
+    ">": _order(">", operator.gt),
+    ">=": _order(">=", operator.ge),
+    "+": _arith("+", operator.add, strings=True),
+    "-": _arith("-", operator.sub),
+    "*": _arith("*", operator.mul),
+    "/": _divide,
+}
 
 
 def evaluate(expr: Expr | str, s: State) -> Value:
-    """Strictly evaluate an expression over a state."""
-    if isinstance(expr, str):
+    """Strictly evaluate an expression over a state.  The result is always a
+    value: ints stay in 64 bits, doubles stay finite, and a string is built
+    only from strings that encode as UTF-8."""
+    if type(expr) is str:
         expr = parse(expr)
-    if isinstance(expr, Lit):
-        return expr.value
-    if isinstance(expr, Var):
-        v = s.lookup(expr.name)
-        if v is UNDEFINED:
-            raise Fault(UNDEFINED_VARIABLE, expr.name)
-        return v
-    if isinstance(expr, Unary):
-        v = evaluate(expr.operand, s)
-        if expr.op == "not":
-            if type(v) is not bool:
-                raise Fault(TYPE_FAULT, f"not needs a boolean, got {v!r}")
-            return not v
-        if type(v) is int:
-            return _check_int64(-v)
-        if type(v) is float:
-            return -v
-        raise Fault(TYPE_FAULT, f"unary - needs a number, got {v!r}")
-    if isinstance(expr, Binary):
-        return _eval_binary(expr.op, evaluate(expr.left, s), evaluate(expr.right, s))
-    raise AssertionError(f"not an expression node: {expr!r}")
+    return expr.run(s._bindings)
 
 
 def evaluate_bool(expr: Expr, s: State) -> bool:

@@ -11,7 +11,7 @@ is what lets several calls share one channel.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import state
 from .errors import DecodeError, EncodeError
@@ -22,11 +22,21 @@ RESPONSE = "response"
 FAULT = "fault"
 
 _TYPES = (REQUEST, RESPONSE, FAULT)
-_KEYS = ("id", "type", "operation", "resource", "payload", "fault")
+_KEYS = frozenset({"id", "type", "operation", "resource", "payload", "fault"})
+_REQUIRED = frozenset({"id", "type", "operation", "resource", "payload"})
+
+# One encoder and one decoder for every frame; ``json.dumps`` with these
+# settings would build a new encoder per call.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False, allow_nan=False)
+_DECODER = json.JSONDecoder()
+_JSON_SPACE = " \t\n\r"
+
+# What reading a line that is not JSON raises: bad UTF-8, bad syntax, or
+# nesting deeper than the parser's recursion allows.
+_NOT_JSON = (UnicodeDecodeError, json.JSONDecodeError, RecursionError)
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(NamedTuple):
     id: str
     type: str
     operation: str
@@ -68,8 +78,7 @@ def encode_frame(f: Frame) -> bytes:
     if f.type == FAULT:
         obj["fault"] = f.fault
     try:
-        text = json.dumps(obj, separators=(",", ":"), ensure_ascii=False, allow_nan=False)
-        return text.encode("utf-8") + b"\n"
+        return _ENCODER.encode(obj).encode("utf-8") + b"\n"
     except (TypeError, ValueError) as e:  # UnicodeEncodeError is a ValueError
         raise EncodeError(str(e)) from e
 
@@ -77,22 +86,26 @@ def encode_frame(f: Frame) -> bytes:
 def decode_frame(line: bytes) -> Frame:
     """Inverse of encode for valid frames; unknown keys or types rejected."""
     try:
-        obj = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        # what json.loads accepts: one JSON text between JSON whitespace
+        text = line.decode("utf-8").strip(_JSON_SPACE)
+        obj, end = _DECODER.raw_decode(text)
+    except _NOT_JSON as e:
         raise DecodeError(f"not a JSON frame: {e}") from e
+    if end != len(text):
+        raise DecodeError(f"not a JSON frame: extra data at offset {end}")
     if not isinstance(obj, dict):
         raise DecodeError("frame is not a JSON object")
-    unknown = set(obj) - set(_KEYS)
-    if unknown:
-        raise DecodeError(f"unknown frame keys {sorted(unknown)}")
-    for key in ("id", "type", "operation", "resource", "payload"):
-        if key not in obj:
-            raise DecodeError(f"frame is missing {key!r}")
+    keys = obj.keys()
+    if not keys <= _KEYS:
+        raise DecodeError(f"unknown frame keys {sorted(keys - _KEYS)}")
+    if not keys >= _REQUIRED:
+        raise DecodeError(f"frame is missing {sorted(_REQUIRED - keys)}")
     ftype = obj["type"]
     if ftype not in _TYPES:
         raise DecodeError(f"unknown frame type {ftype!r}")
     for key in ("id", "operation", "resource"):
-        if not isinstance(obj[key], str) or not state.is_text(obj[key]):
+        value = obj[key]
+        if type(value) is not str or not state.is_text(value):
             raise DecodeError(f"frame {key} must be a UTF-8 string")
     if ftype == FAULT:
         fault = obj.get("fault")
@@ -112,7 +125,7 @@ def salvage_request_id(line: bytes) -> str:
     """Best-effort id extraction from a rejected line, for fault answers."""
     try:
         obj = json.loads(line.decode("utf-8", errors="replace"))
-    except json.JSONDecodeError:
+    except _NOT_JSON:
         return ""
     frame_id = obj.get("id") if isinstance(obj, dict) else None
     if isinstance(frame_id, str) and state.is_text(frame_id):

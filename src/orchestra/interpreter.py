@@ -28,17 +28,17 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from . import expressions
 from .behaviour import (
     Activity, Assign, BehaviourDef, Compensate, If, Nil, Notify, Parallel,
-    Receive, Reply, Scope, Sequence, Solicit, Throw, While, join_prefix,
+    Receive, Reply, Scope, Sequence, Solicit, Throw, While,
 )
 from .errors import (
     BudgetExceeded, Fault, HANDLER_FAULT, IO_FAULT, PROTOCOL_FAULT,
 )
-from .state import EMPTY, State
+from .state import EMPTY, State, Value
 
 
 @dataclass(frozen=True)
@@ -58,8 +58,7 @@ def fault_completion(name: str) -> Completion:
     return Completion("fault", name)
 
 
-@dataclass(frozen=True)
-class CallResult:
+class CallResult(NamedTuple):
     """Outcome of a solicit: a response payload or a remote fault name."""
 
     payload: State | None = None
@@ -74,22 +73,15 @@ class _Terminate(Exception):
         self.handler_fault = False
 
 
+# What a strand yields: ``_STEP`` to end its step, a ``Receive`` node to
+# wait for a message to that node's operation, a ``_WaitResponse`` to wait
+# for a solicit's answer, or a ``Parallel`` node to spawn its children and
+# join on them.
 _STEP = object()
 
 
-@dataclass(frozen=True)
-class _WaitMessage:
-    op: str
-
-
-@dataclass(frozen=True)
-class _WaitResponse:
+class _WaitResponse(NamedTuple):
     token: int
-
-
-@dataclass(frozen=True)
-class _SpawnPar:
-    children: tuple[Activity, ...]
 
 
 class SessionContext:
@@ -104,8 +96,10 @@ class SessionContext:
         self.local = local
         self._completed_scopes: list[tuple[str, Activity | None]] = []
 
-    def set_var(self, name: str, value) -> None:
-        self.local = self.local.update(name, value)
+    def bind(self, bindings: dict[str, Value]) -> None:
+        """Bind local variables.  Their names and values were checked where
+        they entered: at parse, at frame decode, or by evaluation."""
+        self.local = self.local.bind(bindings)
 
     def scope_completed(self, name: str, on_compensate: Activity | None) -> None:
         self._completed_scopes.append((name, on_compensate))
@@ -155,7 +149,7 @@ def _interp_nil(act: Nil, ctx: SessionContext):
 
 def _interp_assign(act: Assign, ctx: SessionContext):
     yield _STEP
-    ctx.set_var(act.var, expressions.evaluate(act.expr, ctx.local))
+    ctx.bind({act.var: expressions.evaluate(act.expr, ctx.local)})
 
 
 def _interp_sequence(act: Sequence, ctx: SessionContext):
@@ -166,7 +160,7 @@ def _interp_sequence(act: Sequence, ctx: SessionContext):
 def _interp_parallel(act: Parallel, ctx: SessionContext):
     if not act.children:
         return
-    yield _SpawnPar(act.children)
+    yield act
 
 
 def _interp_if(act: If, ctx: SessionContext):
@@ -185,34 +179,46 @@ def _interp_while(act: While, ctx: SessionContext):
         yield from _interp(act.body, ctx)
 
 
+def _landed(prefix: str, payload: State) -> dict[str, Value]:
+    """A payload's fields under the local names they land in, in field name
+    order: ``<prefix>_<field>``, or plain ``<field>`` when the prefix is
+    empty.  A checked prefix and checked field names make checked names."""
+    fields = sorted(payload.items())
+    if not prefix:
+        return dict(fields)
+    prefix += "_"
+    return {prefix + name: v for name, v in fields}
+
+
+def _payload(fields: tuple[tuple[str, expressions.Expr], ...], local: State) -> State:
+    """The evaluated payload of a reply, notify or solicit: field names were
+    checked at parse, and evaluation yields only values."""
+    return State({name: expressions.evaluate(e, local) for name, e in fields}, _trusted=True)
+
+
 def _interp_receive(act: Receive, ctx: SessionContext):
-    msg = yield _WaitMessage(act.op)
+    msg = yield act
     ctx.note_request(msg)
-    for field in sorted(msg.payload.names()):
-        ctx.set_var(join_prefix(act.into, field), msg.payload.lookup(field))
+    ctx.bind(_landed(act.into, msg.payload))
 
 
 def _interp_reply(act: Reply, ctx: SessionContext):
     yield _STEP
-    payload = State({name: expressions.evaluate(e, ctx.local) for name, e in act.fields})
-    ctx.send_reply(act.op, payload)
+    ctx.send_reply(act.op, _payload(act.fields, ctx.local))
 
 
 def _interp_notify(act: Notify, ctx: SessionContext):
     yield _STEP
-    payload = State({name: expressions.evaluate(e, ctx.local) for name, e in act.payload})
-    ctx.notify(act.port, act.op, payload)
+    ctx.notify(act.port, act.op, _payload(act.payload, ctx.local))
 
 
 def _interp_solicit(act: Solicit, ctx: SessionContext):
     yield _STEP
-    payload = State({name: expressions.evaluate(e, ctx.local) for name, e in act.payload})
-    token = ctx.begin_solicit(act.port, act.op, payload)
+    token = ctx.begin_solicit(act.port, act.op, _payload(act.payload, ctx.local))
     result = yield _WaitResponse(token)
     if result.fault is not None:
         raise Fault(result.fault)
-    for field in sorted(result.payload.names()):
-        ctx.set_var(join_prefix(act.into, field), result.payload.lookup(field))
+    ctx.bind(_landed(act.into, result.payload))
 
 
 def _interp_throw(act: Throw, ctx: SessionContext):
@@ -316,38 +322,43 @@ class SessionRunner:
         """Ready strands, in stable spawn order."""
         out = []
         for s in self._strands:
-            if s.done is None and self._is_ready(s):
+            if s.done is not None:
+                continue
+            w = s.waiting
+            if w is None:
+                out.append(s)
+            elif type(w) is _Join:
+                if not w.pending:
+                    out.append(s)
+            elif s.terminating and not s.terminate_delivered:
+                out.append(s)
+            elif type(w) is Receive:
+                if self.ctx.has_message(w.op):
+                    out.append(s)
+            elif self.ctx.response_ready(w.token):
                 out.append(s)
         return out
-
-    def _is_ready(self, s: Strand) -> bool:
-        w = s.waiting
-        if isinstance(w, _Join):
-            return not w.pending
-        if s.terminating and not s.terminate_delivered:
-            return True
-        if isinstance(w, _WaitMessage):
-            return self.ctx.has_message(w.op)
-        if isinstance(w, _WaitResponse):
-            return self.ctx.response_ready(w.token)
-        return True
 
     def waiting_on_response(self) -> bool:
         """True when some live strand awaits a solicited response."""
         return any(
-            isinstance(s.waiting, _WaitResponse) for s in self._strands if s.done is None
+            type(s.waiting) is _WaitResponse for s in self._strands if s.done is None
         )
 
-    def step(self, strand: Strand) -> None:
-        """Advance one strand by one step.  No-op if its wait is unmet."""
+    def step(self, strand: Strand) -> bool:
+        """Advance one strand by one step.  No-op if its wait is unmet.
+
+        Returns whether the session's ready strands may have changed.  They
+        stay as they were only when a strand that waited on nothing takes a
+        step and ends it with a plain ``_STEP``."""
         if strand.done is not None:
-            return
+            return True
         w = strand.waiting
         throw: BaseException | None = None
         send_value: Any = None
-        if isinstance(w, _Join):
+        if type(w) is _Join:
             if w.pending:
-                return
+                return True
             if strand.terminating and not strand.terminate_delivered:
                 strand.terminate_delivered = True
                 throw = _Terminate()
@@ -356,14 +367,14 @@ class SessionRunner:
         elif strand.terminating and not strand.terminate_delivered:
             strand.terminate_delivered = True
             throw = _Terminate()
-        elif isinstance(w, _WaitMessage):
+        elif type(w) is Receive:
             msg = self.ctx.take_message(w.op)
             if msg is None:
-                return
+                return True
             send_value = msg
-        elif isinstance(w, _WaitResponse):
+        elif w is not None:
             if not self.ctx.response_ready(w.token):
-                return
+                return True
             send_value = self.ctx.take_response(w.token)
         strand.waiting = None
         try:
@@ -373,28 +384,26 @@ class SessionRunner:
                 yielded = strand.gen.send(send_value)
         except StopIteration:
             self._finish(strand, TERMINATED if strand.terminating else SUCCESS)
-            return
+            return True
         except Fault as f:
             if strand.terminating:
                 self._finish(strand, TERMINATED, handler_fault=True)
             else:
                 self._finish(strand, fault_completion(f.name))
-            return
+            return True
         except _Terminate as t:
             self._finish(strand, TERMINATED, handler_fault=t.handler_fault)
-            return
+            return True
         if yielded is _STEP:
-            return
-        if isinstance(yielded, (_WaitMessage, _WaitResponse)):
-            strand.waiting = yielded
-            return
-        if isinstance(yielded, _SpawnPar):
+            return w is not None or throw is not None
+        if type(yielded) is Parallel:
             join = _Join()
             for child in yielded.children:
                 join.pending.add(self._spawn(_interp(child, self.ctx), join))
             strand.waiting = join
-            return
-        raise AssertionError(f"unexpected yield from strand: {yielded!r}")
+            return True
+        strand.waiting = yielded
+        return True
 
     def _finish(self, strand: Strand, completion: Completion, handler_fault: bool = False) -> None:
         strand.done = completion
@@ -420,7 +429,7 @@ class SessionRunner:
         if strand.done is not None or strand.terminating:
             return
         strand.terminating = True
-        if isinstance(strand.waiting, _Join):
+        if type(strand.waiting) is _Join:
             strand.waiting.terminating = True
             for child in list(strand.waiting.pending):
                 self._mark_terminating(child)

@@ -12,6 +12,11 @@ Looking up an unbound variable yields the distinguished result
 
 States are immutable; every operation returns a fresh state, so they are
 safe to share between threads and to embed in messages.
+
+A state's bindings are valid by construction.  ``State(...)`` and
+``update`` check what a caller hands them; ``bind`` checks nothing, for
+names and values that were checked where they entered (see "Where values
+are checked" in ``docs/formats.md``).
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_name_match = _NAME_RE.fullmatch
 
 
 class _Undefined:
@@ -52,11 +58,11 @@ UNDEFINED = _Undefined()
 
 
 def is_valid_var_name(name: Any) -> bool:
-    return isinstance(name, str) and _NAME_RE.fullmatch(name) is not None
+    return isinstance(name, str) and _name_match(name) is not None
 
 
 def check_var_name(name: Any) -> str:
-    if not is_valid_var_name(name):
+    if not (isinstance(name, str) and _name_match(name)):
         raise ValidationError(f"invalid variable name: {name!r}")
     return name
 
@@ -136,6 +142,15 @@ class State:
         fresh[check_var_name(name)] = check_value(value)
         return State(fresh, _trusted=True)
 
+    def bind(self, bindings: dict[str, Value]) -> "State":
+        """A new state with ``bindings`` added, replacing those of the same
+        name.  Nothing is checked again: every caller binds names and values
+        that were checked where they entered, in a decoded frame, a parsed
+        behaviour or an evaluation."""
+        fresh = dict(self._bindings)
+        fresh.update(bindings)
+        return State(fresh, _trusted=True)
+
     def compose(self, other: "State") -> "State":
         """Left-biased union: this state's bindings win on shared names."""
         if not other._bindings:
@@ -200,7 +215,7 @@ def update(s: State, name: str, value: Value) -> State:
 
 def to_json_obj(s: State) -> dict[str, Value]:
     """Plain JSON object form, keys sorted for a canonical encoding."""
-    return {n: s.lookup(n) for n in sorted(s.names())}
+    return dict(sorted(s._bindings.items()))
 
 
 def from_json_obj(obj: Any) -> State:

@@ -249,6 +249,28 @@ def test_over_real_sockets():
         engine.stop()
 
 
+def test_a_line_nested_too_deeply_is_answered_and_the_connection_survives():
+    engine = Engine(behaviour=parse_behaviour(ECHO_DOC), interface=ECHO_IFACE).start()
+    port = InputPort(name="in", location=SocketLocation("127.0.0.1", 0),
+                     interface=ECHO_IFACE.restrict(["echo", "drop", "boom"]))
+    listener = InputPortListener(port, engine.submit,
+                                 lambda loc, cb: TcpListener(loc.host, loc.port, cb))
+    bound = listener.bound_location
+    channel = connect_socket(bound.host, bound.port)
+    try:
+        channel.send(b"[" * 100_000 + b"\n")
+        answer = _read_answer(channel)
+        assert (answer.id, answer.type, answer.fault) == ("", "fault", "ProtocolFault")
+        channel.send(frames.encode_frame(frames.request_frame("2", "echo", State({"v": 4}))))
+        answer = _read_answer(channel)
+        assert (answer.id, answer.type, answer.payload) == ("2", "response",
+                                                            State({"v": 4, "plus": 5}))
+    finally:
+        channel.close()
+        listener.close()
+        engine.stop()
+
+
 def test_notify_writes_exactly_one_frame(rig):
     serve, client, registry = rig
     port = OutputPort(name="out", location=LocalLocation("onewire"),

@@ -8,13 +8,13 @@ from collections import Counter
 
 import pytest
 
-from orchestra import correlation
+from orchestra import correlation, state
 from orchestra.behaviour import parse_behaviour
 from orchestra.correlation import CorrelationConfig, CorrelationFunction, Message
 from orchestra.deployment import Interface, MessageType, OperationDecl
-from orchestra.engine import EVENTS_KEPT, FINISHED_KEPT, Engine, SEQUENTIAL
-from orchestra.errors import Fault
-from orchestra.interpreter import SessionRunner
+from orchestra.engine import EVENTS_KEPT, FINISHED_KEPT, Engine, SEQUENTIAL, Session
+from orchestra.errors import EncodeError, Fault
+from orchestra.interpreter import SessionRunner, fault_completion
 from orchestra.state import EMPTY, State, UNDEFINED
 
 
@@ -516,3 +516,158 @@ def test_per_post_work_does_not_grow_with_live_sessions(monkeypatch):
     large = _per_post_costs(monkeypatch, 3000)
     assert small == large
     assert small[0] == 1.0
+
+
+class _StubPort:
+    """An output port whose notify raises ``error`` for a payload with
+    ``v == 1`` and records every other call."""
+
+    def __init__(self, error):
+        self.error = error
+        self.sent = []
+
+    def notify(self, op, payload):
+        if payload.lookup("v") == 1:
+            raise self.error
+        self.sent.append((op, payload))
+
+
+_TELL_DOC = {"root": {"seq": [
+    {"receive": {"op": "go", "into": "m"}},
+    {"scope": {"name": "s", "body": {"notify": {"port": "out", "op": "tell",
+                                                "payload": {"v": "m_v"}}},
+               "faults": {"IOFault": {"assign": ["caught", "true"]}}}},
+    {"notify": {"port": "out", "op": "tell", "payload": {"v": "m_v"}}},
+]}, "firing": False, "initiators": ["go"]}
+
+
+def test_a_frame_that_cannot_be_encoded_is_an_io_fault_in_the_behaviour(engines):
+    port = _StubPort(EncodeError("frame resource must be a string"))
+    e = engines(behaviour=parse_behaviour(_TELL_DOC), interface=iface(go="OneWay"),
+                correlation=corr(go={"v": "key"}), outputs={"out": port})
+    bad = e.submit(Message("go", State({"v": 1})))
+    good = e.submit(Message("go", State({"v": 2})))
+    assert e.wait_all_finished(5.0)
+    _, completion, local = e.session_view(bad.session_id)
+    assert completion == fault_completion("IOFault")
+    assert local.lookup("caught") is True  # the scope's handler saw it first
+    assert e.session_view(good.session_id)[1].kind == "success"
+    assert port.sent == [("tell", State({"v": 2}))] * 2
+
+
+def test_an_error_in_a_step_ends_only_its_session(engines):
+    doc = {"root": {"seq": [{"receive": {"op": "ask", "into": "m"}},
+                            {"notify": {"port": "out", "op": "tell", "payload": {"v": "m_v"}}},
+                            {"reply": {"op": "ask", "from": {}}}]},
+           "firing": False, "initiators": ["ask"]}
+    port = _StubPort(RuntimeError("bug in a port"))
+    e = engines(behaviour=parse_behaviour(doc), outputs={"out": port},
+                correlation=corr(ask={"v": "key"}),
+                interface=Interface({"ask": OperationDecl("ask", "RequestResponse",
+                                                          MessageType(), MessageType())}))
+    handle = _Handle()
+    bad = e.submit(Message("ask", State({"v": 1}), channel_id=handle, request_id="1"))
+    good = e.submit(Message("ask", State({"v": 2}), channel_id=handle, request_id="2"))
+    assert e.wait_all_finished(5.0)
+    assert e._driver.is_alive()
+    assert e.session_view(bad.session_id)[1] == fault_completion("IOFault")
+    assert e.session_view(good.session_id)[1].kind == "success"
+    assert sorted(handle.answers) == [("1", "IOFault"), ("2", "response")]
+    [failed] = [r for r in e.events if r["event"] == "step_failed"]
+    assert failed["session"] == bad.session_id
+    assert "bug in a port" in failed["detail"]["error"]
+
+
+def test_a_reply_that_cannot_be_encoded_is_still_owed(engines):
+    class Unencodable(_Handle):
+        def send_response(self, request_id, op, payload):
+            raise EncodeError("cannot encode")
+
+    doc = {"root": {"seq": [{"receive": {"op": "ask", "into": ""}},
+                            {"reply": {"op": "ask", "from": {}}}]},
+           "firing": False, "initiators": ["ask"]}
+    e = engines(behaviour=parse_behaviour(doc),
+                interface=Interface({"ask": OperationDecl("ask", "RequestResponse",
+                                                          MessageType(), MessageType())}))
+    handle = Unencodable()
+    out = e.submit(Message("ask", EMPTY, channel_id=handle, request_id="1"))
+    assert e.wait_all_finished(5.0)
+    assert e.session_view(out.session_id)[1] == fault_completion("IOFault")
+    assert handle.answers == [("1", "IOFault")]  # the session's end answered it
+
+
+class _CountingLock:
+    """An engine lock that counts, per thread, how often it is entered."""
+
+    def __init__(self, lock):
+        self._lock = lock
+        self.enters = Counter()
+
+    def __enter__(self):
+        self.enters[threading.get_ident()] += 1
+        return self._lock.__enter__()
+
+    def __exit__(self, *exc):
+        return self._lock.__exit__(*exc)
+
+
+def test_a_receive_binds_its_fields_in_one_locked_update_without_checks(monkeypatch):
+    """The four fields of a delivered message land in one update that takes
+    the engine lock once, and nothing checks a name or a value again: the
+    payload was checked when it was built."""
+    e = Engine(behaviour=parse_behaviour({"receive": {"op": "data", "into": "m"}}),
+               interface=iface(data="OneWay"), watchdog_grace=3600.0)
+    lock = e._lock = _CountingLock(e._lock)
+    binds = []
+    real_bind = Session.bind
+
+    def bind(session, bindings):
+        me = threading.get_ident()
+        before = lock.enters[me]
+        real_bind(session, bindings)
+        binds.append((sorted(bindings), lock.enters[me] - before))
+
+    monkeypatch.setattr(Session, "bind", bind)
+    payload = State({"a": 1, "b": 2.0, "c": "x", "d": True})
+    checks = Counter()
+    for name in ("_name_match", "check_var_name", "check_value"):
+        original = getattr(state, name)
+        monkeypatch.setattr(state, name, lambda *a, _n=name, _f=original: (
+            checks.update([_n]), _f(*a))[1])
+    e.start()
+    try:
+        assert e.submit(Message("data", payload)).kind == "delivered"
+        assert e.wait_all_finished(5.0)
+    finally:
+        e.stop()
+    assert binds == [(["m_a", "m_b", "m_c", "m_d"], 1)]
+    assert not checks
+    assert e.session_view(1)[2] == State({"m_a": 1, "m_b": 2.0, "m_c": "x", "m_d": True})
+
+
+def test_every_pick_draws_one_randrange(engines, monkeypatch):
+    """One ``randrange(len(pairs))`` per driver step, also when only one
+    pair is ready: the seeded schedule depends on every draw."""
+    draws = []
+
+    class CountingRandom(random.Random):
+        def randrange(self, *args):
+            draws.append(args)
+            return super().randrange(*args)
+
+    steps = Counter()
+    real_step = SessionRunner.step
+    monkeypatch.setattr(SessionRunner, "step",
+                        lambda runner, strand: (steps.update(["step"]), real_step(runner, strand)))
+    doc = {"seq": [{"assign": ["a", "1"]},
+                   {"par": [{"assign": ["b", "2"]}, {"assign": ["c", "3"]}, "nil"]},
+                   {"assign": ["d", "a + b + c"]}]}
+    e = Engine(behaviour=parse_behaviour(doc), interface=iface(), seed=3)
+    e._rng = CountingRandom(3)
+    e.start()
+    try:
+        assert e.wait_all_finished(5.0)
+    finally:
+        e.stop()
+    assert len(draws) == steps["step"] > 0
+    assert {n for (n,) in draws} == {1, 2, 3}  # one, two and three ready pairs

@@ -1,10 +1,13 @@
 """Expression grammar and strict evaluation semantics."""
 
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orchestra import expressions as E
 from orchestra.errors import Fault, ParseError
-from orchestra.state import EMPTY, State
+from orchestra.state import EMPTY, INT64_MAX, INT64_MIN, UNDEFINED, State, is_text
 
 
 def ev(text, bindings=None):
@@ -146,3 +149,133 @@ def test_condition_must_be_boolean():
     with pytest.raises(Fault) as e:
         E.evaluate_bool(E.parse("1 + 1"), EMPTY)
     assert e.value.name == "TypeFault"
+
+
+# A reference evaluator: the tree walk the compiled closures replaced, kept
+# here as the oracle they must agree with.
+
+def _ref_int64(n):
+    if not (INT64_MIN <= n <= INT64_MAX):
+        raise Fault("TypeFault", "integer overflow past 64 bits")
+    return n
+
+
+def _ref_double(x):
+    if not math.isfinite(x):
+        raise Fault("TypeFault", "double result is not finite")
+    return x
+
+
+def _ref_numeric_pair(op, a, b):
+    if type(a) is int and type(b) is int:
+        return "int"
+    if type(a) is float and type(b) is float:
+        return "double"
+    raise Fault("TypeFault", f"{op} needs two ints or two doubles, got {a!r} and {b!r}")
+
+
+def _ref_binary(op, a, b):
+    if op == "==":
+        return type(a) is type(b) and a == b
+    if op == "!=":
+        return not (type(a) is type(b) and a == b)
+    if op in ("and", "or"):
+        if type(a) is not bool or type(b) is not bool:
+            raise Fault("TypeFault", f"{op} needs two booleans, got {a!r} and {b!r}")
+        return (a and b) if op == "and" else (a or b)
+    if op == "+":
+        if type(a) is str and type(b) is str:
+            return a + b
+        kind = _ref_numeric_pair(op, a, b)
+        return _ref_int64(a + b) if kind == "int" else _ref_double(a + b)
+    if op in ("-", "*"):
+        kind = _ref_numeric_pair(op, a, b)
+        r = a - b if op == "-" else a * b
+        return _ref_int64(r) if kind == "int" else _ref_double(r)
+    if op == "/":
+        kind = _ref_numeric_pair(op, a, b)
+        if b == 0:
+            raise Fault("DivisionByZero")
+        if kind == "int":
+            q = a // b
+            if q < 0 and q * b != a:
+                q += 1
+            return _ref_int64(q)
+        return _ref_double(a / b)
+    if type(a) is not type(b) or type(a) is bool:
+        raise Fault("TypeFault", f"{op} needs two ints, doubles, or strings, got {a!r} and {b!r}")
+    return {"<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b}[op]
+
+
+def reference_evaluate(expr, s):
+    if isinstance(expr, E.Lit):
+        return expr.value
+    if isinstance(expr, E.Var):
+        v = s.lookup(expr.name)
+        if v is UNDEFINED:
+            raise Fault("UndefinedVariable", expr.name)
+        return v
+    if isinstance(expr, E.Unary):
+        v = reference_evaluate(expr.operand, s)
+        if expr.op == "not":
+            if type(v) is not bool:
+                raise Fault("TypeFault", f"not needs a boolean, got {v!r}")
+            return not v
+        if type(v) is int:
+            return _ref_int64(-v)
+        if type(v) is float:
+            return -v
+        raise Fault("TypeFault", f"unary - needs a number, got {v!r}")
+    return _ref_binary(expr.op, reference_evaluate(expr.left, s),
+                       reference_evaluate(expr.right, s))
+
+
+def _outcome(run):
+    """A value with its variant (repr keeps -0.0 apart from 0.0), or a fault
+    with its name and detail."""
+    try:
+        v = run()
+    except Fault as f:
+        return "fault", f.name, f.detail
+    return "value", type(v), repr(v)
+
+
+_NAMES = ("a", "b", "c", "d")
+# a small pool, so that operands often meet at the edges: equal values of
+# different variants, 64-bit limits, negative quotients, zero divisors
+_EDGES = [0, 1, -1, 2, -3, INT64_MAX, INT64_MIN, 0.0, -0.0, 1.0, -1.5, 1e308,
+          "", "a", "b", True, False]
+_UNARY_OPS = ["not", "-"]
+_BINARY_OPS = ["or", "and", "==", "!=", "<", "<=", ">", ">=", "+", "-", "*", "/"]
+_edges = st.sampled_from(_EDGES)
+_values = st.one_of(
+    _edges, _edges, _edges,
+    st.integers(INT64_MIN, INT64_MAX),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=3).filter(is_text),
+)
+_trees = st.recursive(
+    st.one_of(st.builds(E.Lit, _values), st.builds(E.Var, st.sampled_from(_NAMES))),
+    lambda sub: st.one_of(
+        st.builds(E.Unary, st.sampled_from(_UNARY_OPS), sub),
+        st.builds(E.Binary, st.sampled_from(_BINARY_OPS), sub, sub),
+    ),
+    max_leaves=6,
+)
+# some names stay unbound, so reads of unbound variables are generated too
+_states = st.dictionaries(st.sampled_from(_NAMES[:3]), _values).map(State)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_trees, _states)
+def test_compiled_expressions_agree_with_the_tree_walk(expr, s):
+    assert _outcome(lambda: E.evaluate(expr, s)) == _outcome(lambda: reference_evaluate(expr, s))
+
+
+def test_every_operator_agrees_with_the_tree_walk_on_every_pair_of_edge_values():
+    cases = [E.Unary(op, E.Lit(x)) for op in _UNARY_OPS for x in _EDGES]
+    cases += [E.Binary(op, E.Lit(x), E.Lit(y))
+              for op in _BINARY_OPS for x in _EDGES for y in _EDGES]
+    for expr in cases:
+        assert (_outcome(lambda: E.evaluate(expr, EMPTY))
+                == _outcome(lambda: reference_evaluate(expr, EMPTY))), expr

@@ -115,3 +115,10 @@ def test_salvage_request_id():
     assert salvage_request_id(b'{"id":"42","type":"junk"}') == "42"
     assert salvage_request_id(b"not json at all") == ""
     assert salvage_request_id(b'{"id":7}') == ""
+
+
+def test_a_line_nested_past_the_parsers_depth_is_a_decode_error():
+    line = b"[" * 100_000 + b"\n"
+    with pytest.raises(DecodeError):
+        decode_frame(line)
+    assert salvage_request_id(line) == ""
