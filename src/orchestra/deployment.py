@@ -345,7 +345,8 @@ def reconnect(conn: Connection | None, connector: Connector, location: Location)
 def sync_request(conn: Connection, op: str, payload: State, resource: str = "",
                  timeout: float | None = 10.0) -> CallResult:
     """One blocking call over an existing connection; resource set per call.
-    The caller waits on a lock it holds, which the answer releases."""
+    The caller waits on a lock it holds, which the answer releases.  A
+    ``timeout`` of None waits for ever; a negative one does not wait."""
     done = threading.Lock()
     done.acquire()
     slot: list[CallResult] = []
@@ -355,7 +356,7 @@ def sync_request(conn: Connection, op: str, payload: State, resource: str = "",
         done.release()
 
     frame_id = conn.send_request(op, payload, resource, on_result)
-    if not done.acquire(timeout=-1 if timeout is None else timeout):
+    if not done.acquire(timeout=-1 if timeout is None else max(timeout, 0)):
         conn.forget(frame_id)
         raise Fault(IO_FAULT, f"no response to {op!r} within {timeout}s")
     return slot[0]

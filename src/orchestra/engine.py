@@ -356,87 +356,58 @@ class Engine:
         picks a step also does the bookkeeping of the step before it."""
         lock, rng = self._lock, self._rng
         session = None  # the session stepped last, if its bookkeeping is due
-        picked = -1  # where the pair stepped last sits in the ready pairs
         while True:
             with lock:
                 if session is not None:
                     self._touch_locked()
-                    if changed:
-                        self._dirty.add(session.sid)
+                    self._dirty.add(session.sid)
                     if completion is not None:
                         self._finish_session_locked(session, completion)
                     session = None
                 if self._stop_requested:
                     break
-                pairs = self._ready_pairs_locked(picked)
+                pairs = self._ready_pairs_locked()
                 if not pairs:
-                    picked = -1
                     self._cond.wait(self._check_deadlock_locked())
                     continue
-                picked = rng.randrange(len(pairs))
-                sid, strand = pairs[picked]
+                sid, strand = pairs[rng.randrange(len(pairs))]
                 session = self._sessions[sid]
                 if self.log_steps:
                     self._emit("step", session=sid, strand=strand.sid)
-            changed, completion = self._step(session, strand)
+            completion = self._step(session, strand)
         self._terminate_all_sessions()
 
-    def _step(self, session: Session, strand: Strand) -> tuple[bool, Completion | None]:
-        """Step ``strand`` of ``session``, outside the engine lock: whether
-        the session's ready strands may have changed, and its completion
-        once the step has ended it.  An error that is not a fault is
-        recorded with its traceback and ends only this session, as
-        ``fault(IOFault)``, so the others keep running."""
+    def _step(self, session: Session, strand: Strand) -> Completion | None:
+        """Step ``strand`` of ``session``, outside the engine lock: the
+        session's completion once the step has ended it.  An error that is
+        not a fault is recorded with its traceback and ends only this
+        session, as ``fault(IOFault)``, so the others keep running."""
         try:
-            changed = session.runner.step(strand)
+            session.runner.step(strand)
         except Exception as e:
             self._emit("step_failed", session=session.sid, error=repr(e),
                        traceback=traceback.format_exc())
-            return True, _STEP_FAILED
-        return changed, session.runner.completion
+            return _STEP_FAILED
+        return session.runner.completion
 
-    def _ready_pairs_locked(self, picked: int = -1) -> list[tuple[int, Strand]]:
+    def _ready_pairs_locked(self) -> list[tuple[int, Strand]]:
         """Every ready (session, strand) pair of the started sessions, in
         sid order and then spawn order.  In sequential mode the one started
         session is the oldest live one: before ``stop()`` only the driver
         ends sessions, and it steps only started ones, so when the oldest
-        has finished the next oldest starts.
-
-        ``picked`` is the index of the pair the driver stepped last, or -1.
-        When that pair's session is the only one whose pairs may be stale,
-        its slice is found from there, without a search.  A step whose
-        session's ready strands stayed as they were leaves none stale."""
+        has finished the next oldest starts."""
         if self.mode == SEQUENTIAL:
             oldest = next(iter(self._sessions.values()), None)
             if oldest is not None and not oldest.started:
                 self._start_session_locked(oldest)
         pairs = self._ready
-        dirty = self._dirty
-        if not dirty:
-            return pairs
-        if picked >= 0 and len(dirty) == 1 and pairs[picked][0] in dirty:
-            sid = pairs[picked][0]
-            lo, hi, end = picked, picked + 1, len(pairs)
-            while lo and pairs[lo - 1][0] == sid:
-                lo -= 1
-            while hi < end and pairs[hi][0] == sid:
-                hi += 1
-            self._refill_locked(sid, lo, hi)
-        else:
-            for sid in dirty:
-                lo = bisect_left(pairs, sid, key=_pair_sid)
-                self._refill_locked(sid, lo, bisect_right(pairs, sid, lo, key=_pair_sid))
-        dirty.clear()
+        for sid in self._dirty:
+            session = self._sessions.get(sid)
+            strands = session.runner.ready() if session is not None and session.started else []
+            lo = bisect_left(pairs, sid, key=_pair_sid)
+            pairs[lo:bisect_right(pairs, sid, lo, key=_pair_sid)] = [(sid, s) for s in strands]
+        self._dirty.clear()
         return pairs
-
-    def _refill_locked(self, sid: int, lo: int, hi: int) -> None:
-        """Replace ``_ready[lo:hi]``, session ``sid``'s pairs, with its ready
-        strands now."""
-        session = self._sessions.get(sid)
-        if session is None or not session.started:
-            del self._ready[lo:hi]
-        else:
-            self._ready[lo:hi] = zip(itertools.repeat(sid), session.runner.ready())
 
     def _finish_session_locked(self, session: Session, completion: Completion) -> None:
         """The one way a session ends.  It must not leave a request hanging
@@ -485,7 +456,7 @@ class Engine:
                 ready = session.runner.ready()
                 completion = session.runner.completion
                 if ready and budget > 0:
-                    _, completion = self._step(session, ready[0])
+                    completion = self._step(session, ready[0])
                     stepped = True
                     budget -= 1
                 if completion is not None:

@@ -345,20 +345,16 @@ class SessionRunner:
             type(s.waiting) is _WaitResponse for s in self._strands if s.done is None
         )
 
-    def step(self, strand: Strand) -> bool:
-        """Advance one strand by one step.  No-op if its wait is unmet.
-
-        Returns whether the session's ready strands may have changed.  They
-        stay as they were only when a strand that waited on nothing takes a
-        step and ends it with a plain ``_STEP``."""
+    def step(self, strand: Strand) -> None:
+        """Advance one strand by one step.  No-op if its wait is unmet."""
         if strand.done is not None:
-            return True
+            return
         w = strand.waiting
         throw: BaseException | None = None
         send_value: Any = None
         if type(w) is _Join:
             if w.pending:
-                return True
+                return
             if strand.terminating and not strand.terminate_delivered:
                 strand.terminate_delivered = True
                 throw = _Terminate()
@@ -370,11 +366,11 @@ class SessionRunner:
         elif type(w) is Receive:
             msg = self.ctx.take_message(w.op)
             if msg is None:
-                return True
+                return
             send_value = msg
         elif w is not None:
             if not self.ctx.response_ready(w.token):
-                return True
+                return
             send_value = self.ctx.take_response(w.token)
         strand.waiting = None
         try:
@@ -384,26 +380,25 @@ class SessionRunner:
                 yielded = strand.gen.send(send_value)
         except StopIteration:
             self._finish(strand, TERMINATED if strand.terminating else SUCCESS)
-            return True
+            return
         except Fault as f:
             if strand.terminating:
                 self._finish(strand, TERMINATED, handler_fault=True)
             else:
                 self._finish(strand, fault_completion(f.name))
-            return True
+            return
         except _Terminate as t:
             self._finish(strand, TERMINATED, handler_fault=t.handler_fault)
-            return True
+            return
         if yielded is _STEP:
-            return w is not None or throw is not None
+            return
         if type(yielded) is Parallel:
             join = _Join()
             for child in yielded.children:
                 join.pending.add(self._spawn(_interp(child, self.ctx), join))
             strand.waiting = join
-            return True
+            return
         strand.waiting = yielded
-        return True
 
     def _finish(self, strand: Strand, completion: Completion, handler_fault: bool = False) -> None:
         strand.done = completion

@@ -325,6 +325,22 @@ def test_sync_request_timeout_forgets_its_waiter():
         server_end.close()
 
 
+@pytest.mark.parametrize("timeout", [-1, -0.5])
+def test_sync_request_negative_timeout_faults_at_once(timeout):
+    client_end, server_end = memory_pair("silent-negative")
+    conn = Connection(client_end)
+    try:
+        t0 = time.monotonic()
+        with pytest.raises(Fault) as err:
+            sync_request(conn, "echo", State({"v": 1}), timeout=timeout)
+        assert err.value.name == "IOFault"
+        assert time.monotonic() - t0 < 1.0
+        assert conn._waiters == {}
+    finally:
+        conn.close()
+        server_end.close()
+
+
 def test_parse_location():
     assert parse_location("socket://h:9") == SocketLocation("h", 9)
     assert parse_location("local://x") == LocalLocation("x")
