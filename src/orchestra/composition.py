@@ -17,6 +17,17 @@ service closes the channels its input ports accepted, so the gateway and
 output ports reach a service re-embedded at the same location on their
 next call.
 
+Threads: a container runs one thread, its ``transport.Loop``.  The loop
+accepts on every socket listener, reads every channel the container
+serves (input ports, the gateway, the control port) and every upstream
+connection (the gateway's and the output ports'), decodes, routes, and
+between polls steps every engine through ``Engine.run_ready``.  A reply
+leaves in the step that makes it, by a send that does not block.  No
+thread is started per service, listener, channel or connection.  Calls
+from other threads (``start_service``, ``embed``, ``stop``, ...) take the
+loop's lock, so they never run beside a loop round; the control port's
+embed and unembed run on the loop itself and wait for nothing.
+
 All four can change at runtime.  Every container also serves a private
 control port (``local://_control``) with embed / unembed / setRedirect
 operations, so behaviours themselves can re-compose the system they run
@@ -48,7 +59,7 @@ from .errors import (
     ValidationError,
 )
 from .state import State
-from .transport import LocalRegistry, TcpListener, connect_socket
+from .transport import LocalRegistry, Loop, TcpListener, connect_socket
 
 CONTROL_LOCATION = "_control"
 
@@ -249,12 +260,11 @@ class Container:
         self.warnings: list[str] = []
         self._event_sink = event_sink
         self._table_lock = threading.Lock()
+        self.loop = Loop(name=f"container-{name}")
         self._gateway: FrameEndpoint | None = None
         self._gateway_loc: Location | None = None
-        # one upstream connection per gateway target, under its own lock so
-        # a slow connect never holds up reads of the redirect table
+        # one upstream connection per gateway target, under the loop's lock
         self._upstream: dict[Location, Connection] = {}
-        self._upstream_lock = threading.Lock()
         self._control: FrameEndpoint | None = None
         self._stopped = False
 
@@ -268,7 +278,7 @@ class Container:
     def bind(self, location: Location, on_channel):
         if isinstance(location, LocalLocation):
             return self.registry.bind(location.name, on_channel)
-        return TcpListener(location.host, location.port, on_channel)
+        return TcpListener(location.host, location.port, on_channel, self.loop)
 
     def _engine_seed(self, service_name: str) -> int:
         return (self.seed * 1_000_003 + zlib.crc32(service_name.encode())) & 0x7FFFFFFF
@@ -286,6 +296,10 @@ class Container:
     # Service lifecycle ------------------------------------------------------
 
     def start_service(self, definition: ServiceDef, *, embedded: bool = False) -> RunningService:
+        with self.loop.lock:
+            return self._start_service(definition, embedded)
+
+    def _start_service(self, definition: ServiceDef, embedded: bool) -> RunningService:
         if definition.name in self.services:
             raise NameClash(f"service name {definition.name!r} already in use")
         if definition.name.startswith("_"):
@@ -299,7 +313,7 @@ class Container:
             if isinstance(port.location, LocalLocation) and port.location.name.startswith("_"):
                 raise ValidationError("local locations starting with '_' are reserved")
         outputs = {
-            port.name: OutputPortRuntime(port, self.connect)
+            port.name: OutputPortRuntime(port, self.connect, self.loop)
             for port in definition.output_ports
         }
         engine = Engine(
@@ -312,12 +326,13 @@ class Container:
             outputs=outputs,
             name=definition.name,
             event_sink=self._service_sink(definition.name),
+            loop=self.loop,
         )
         listeners: list[InputPortListener] = []
         try:
             # listeners first: a firing session must not race its own ports
             for port in definition.input_ports:
-                listeners.append(InputPortListener(port, engine.submit, self.bind))
+                listeners.append(InputPortListener(port, engine.submit, self.bind, self.loop))
             engine.start()
         except Exception:
             for listener in listeners:
@@ -343,11 +358,12 @@ class Container:
 
     def unembed(self, name: str) -> None:
         """Stop an embedded service and release its local locations."""
-        if name not in self.embedded:
-            raise UnknownService(f"no embedded service named {name!r}")
-        running = self.services.pop(name)
-        self.embedded.discard(name)
-        running.stop()
+        with self.loop.lock:
+            if name not in self.embedded:
+                raise UnknownService(f"no embedded service named {name!r}")
+            running = self.services.pop(name)
+            self.embedded.discard(name)
+            running.stop()
 
     # Gateway tables -----------------------------------------------------------
 
@@ -379,7 +395,7 @@ class Container:
         if self._gateway is not None:
             raise StartupError("gateway already served")
         loc = parse_location(location) if isinstance(location, str) else location
-        self._gateway = FrameEndpoint(loc, self.bind, self.dispatch_gateway_frame)
+        self._gateway = FrameEndpoint(loc, self.bind, self.dispatch_gateway_frame, self.loop)
         self._gateway_loc = bound_location(loc, self._gateway.listener)
 
     @property
@@ -426,9 +442,9 @@ class Container:
                 handle.send_response(frame.id, frame.operation, result.payload)
 
         try:
-            with self._upstream_lock:
+            with self.loop.lock:
                 conn = self._upstream[target] = reconnect(
-                    self._upstream.get(target), self.connect, target)
+                    self._upstream.get(target), self.connect, target, self.loop)
             conn.send_request(frame.operation, frame.payload, "", on_result)
         except Fault as f:
             handle.send_fault(frame.id, frame.operation, f.name)
@@ -438,7 +454,7 @@ class Container:
     def serve_control(self) -> None:
         if self._control is None:
             self._control = FrameEndpoint(LocalLocation(CONTROL_LOCATION), self.bind,
-                                          self._control_request)
+                                          self._control_request, self.loop)
 
     def _control_request(self, frame: frames.Frame, handle: ReplyHandle) -> None:
         payload = frame.payload
@@ -473,18 +489,21 @@ class Container:
     # Lifecycle ------------------------------------------------------------------
 
     def stop(self) -> None:
-        if self._stopped:
-            return
-        self._stopped = True
-        for endpoint in (self._gateway, self._control):
-            if endpoint is not None:
-                endpoint.close()
-        with self._upstream_lock:
+        """Close the gateway and control ports, the upstream connections and
+        every service, then end the loop's thread."""
+        with self.loop.lock:
+            if self._stopped:
+                return
+            self._stopped = True
+            for endpoint in (self._gateway, self._control):
+                if endpoint is not None:
+                    endpoint.close()
             for conn in self._upstream.values():
                 conn.close()
             self._upstream.clear()
-        for running in list(self.services.values()):
-            running.stop()
+            for running in list(self.services.values()):
+                running.stop()
+        self.loop.close()
 
     def wait_quiescent(self, timeout: float = 10.0) -> bool:
         import time as _time

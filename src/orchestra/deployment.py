@@ -15,14 +15,19 @@ their callers no matter the order they arrive in.
 Each rule of the wire has one home here, shared by the serving and the
 calling end and by the container gateway:
 
-* ``read_frames``: how a channel's lines become frames;
+* ``Connection._on_line``: how an answer finds its caller;
+* ``FrameEndpoint._serve_line``: how a served line becomes a request, or
+  a ``ProtocolFault`` answer;
 * ``reconnect``: when a connection is reused and when a new one opens;
-* ``bound_location``: where a listener bound to port 0 answers;
-* ``FrameEndpoint``: serving a location, one thread per accepted channel;
-  closing it also closes the channels it still serves, so their peers
-  see EOF and reconnect instead of talking to a stopped service.
+* ``bound_location``: where a listener bound to port 0 answers.
 
-Both ends close a channel once they read EOF on it.
+Threads: a ``FrameEndpoint`` serves every channel it accepts on one
+``transport.Loop``, the container's, and starts no thread of its own.  A
+``Connection`` given a loop is read by that loop; one without (a caller
+outside any container: the CLI, a test, a benchmark client) starts one
+reader thread.  Closing an endpoint also closes the channels it still
+serves, so their peers see EOF and reconnect instead of talking to a
+stopped service.  Both ends close a channel once they read EOF on it.
 """
 
 from __future__ import annotations
@@ -30,18 +35,19 @@ from __future__ import annotations
 import itertools
 import threading
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 from . import frames
 from .behaviour import check_object
 from .correlation import Message
 from .errors import (
-    DecodeError, Fault, IO_FAULT, PROTOCOL_FAULT, TYPE_FAULT, UNKNOWN_OPERATION,
+    DecodeError, Fault, IO_FAULT, LineTooLong, PROTOCOL_FAULT, TYPE_FAULT, UNKNOWN_OPERATION,
     ValidationError,
 )
 from .frames import Frame
 from .interpreter import CallResult
 from .state import State, UNDEFINED, check_var_name, value_kind
+from .transport import Loop
 
 ONE_WAY = "OneWay"
 REQUEST_RESPONSE = "RequestResponse"
@@ -235,23 +241,12 @@ Connector = Callable[[Location], object]
 Binder = Callable[[Location, Callable], object]
 
 
-def read_frames(channel) -> Iterator[tuple[bytes, Frame | None]]:
-    """Each non-blank line of ``channel`` with its frame, or ``None`` when
-    the line does not decode; ends at EOF or a read error."""
-    while True:
-        try:
-            line = channel.recv_line()
-        except OSError:
-            return
-        if line is None:
-            return
-        if not line.strip():
-            continue
-        try:
-            frame = frames.decode_frame(line)
-        except DecodeError:
-            frame = None
-        yield line, frame
+def _frame_of(line: bytes) -> Frame | None:
+    """The frame a line carries, or None when it does not decode."""
+    try:
+        return frames.decode_frame(line)
+    except DecodeError:
+        return None
 
 
 def bound_location(location: Location, listener) -> Location:
@@ -263,16 +258,22 @@ def bound_location(location: Location, listener) -> Location:
 
 
 class Connection:
-    """One channel multiplexing many calls, matched by frame id."""
+    """One channel multiplexing many calls, matched by frame id.
 
-    def __init__(self, channel):
+    On a ``loop`` the loop reads its answers; without one a reader thread
+    of its own does.  Both go through ``_on_line``, the one response rule.
+    """
+
+    def __init__(self, channel, loop: Loop | None = None):
         self.channel = channel
         self._ids = itertools.count(1)
         self._lock = threading.Lock()
         self._waiters: dict[str, Callable[[CallResult], None]] = {}
         self.dead = False
-        self._reader = threading.Thread(target=self._read_loop, daemon=True)
-        self._reader.start()
+        if loop is None:
+            threading.Thread(target=self._read_loop, daemon=True).start()
+        else:
+            channel.attach(loop, self._on_line, self._on_end)
 
     def send_request(
         self,
@@ -285,6 +286,7 @@ class Connection:
             if self.dead:
                 raise Fault(IO_FAULT, "connection closed")
             frame_id = str(next(self._ids))
+            # before the send: the answer may arrive before send returns
             if on_result is not None:
                 self._waiters[frame_id] = on_result
         try:
@@ -301,21 +303,32 @@ class Connection:
             self._waiters.pop(frame_id, None)
 
     def _read_loop(self) -> None:
-        # undecodable lines and requests (which never belong on an outbound
-        # connection) are dropped
-        for _, frame in read_frames(self.channel):
-            if frame is None or frame.type == frames.REQUEST:
-                continue
-            with self._lock:
-                waiter = self._waiters.pop(frame.id, None)
-            if waiter is None:
-                continue
-            if frame.type == frames.RESPONSE:
-                waiter(CallResult(payload=frame.payload))
-            else:
-                waiter(CallResult(fault=frame.fault))
-        self._fail_all()
-        self.channel.close()
+        try:
+            for line in iter(self.channel.recv_line, None):
+                self._on_line(line)
+        except (OSError, LineTooLong):
+            pass
+        self._on_end(False)
+
+    def _on_line(self, line: bytes) -> None:
+        # blank lines, undecodable lines and requests (which never belong
+        # on an outbound connection) are dropped
+        if not line.strip():
+            return
+        frame = _frame_of(line)
+        if frame is None or frame.type == frames.REQUEST:
+            return
+        with self._lock:
+            waiter = self._waiters.pop(frame.id, None)
+        if waiter is None:
+            return
+        if frame.type == frames.RESPONSE:
+            waiter(CallResult(payload=frame.payload))
+        else:
+            waiter(CallResult(fault=frame.fault))
+
+    def _on_end(self, overflow: bool) -> None:
+        self.close()
 
     def _fail_all(self) -> None:
         with self._lock:
@@ -326,27 +339,31 @@ class Connection:
             w(CallResult(fault=IO_FAULT))
 
     def close(self) -> None:
+        """Close the channel; every call still waiting gets ``IOFault``."""
         self.channel.close()
+        self._fail_all()
 
 
-def reconnect(conn: Connection | None, connector: Connector, location: Location) -> Connection:
-    """``conn`` while it lives, otherwise a new connection to ``location``;
-    a failed connect is ``IOFault``.  The caller holds the lock guarding
-    where it keeps the connection."""
+def reconnect(conn: Connection | None, connector: Connector, location: Location,
+              loop: Loop | None = None) -> Connection:
+    """``conn`` while it lives, otherwise a new connection to ``location``,
+    read on ``loop`` when one is given; a failed connect is ``IOFault``.
+    The caller holds the lock guarding where it keeps the connection."""
     if conn is not None and not conn.dead:
         return conn
     try:
         channel = connector(location)
     except OSError as e:
         raise Fault(IO_FAULT, f"cannot reach {location}: {e}") from e
-    return Connection(channel)
+    return Connection(channel, loop)
 
 
 def sync_request(conn: Connection, op: str, payload: State, resource: str = "",
                  timeout: float | None = 10.0) -> CallResult:
     """One blocking call over an existing connection; resource set per call.
-    The caller waits on a lock it holds, which the answer releases.  A
-    ``timeout`` of None waits for ever; a negative one does not wait."""
+    The caller waits on a lock it holds, which the answer releases, so it
+    must not run on the loop that reads ``conn``.  A ``timeout`` of None
+    waits for ever; a negative one does not wait."""
     done = threading.Lock()
     done.acquire()
     slot: list[CallResult] = []
@@ -376,11 +393,14 @@ def _checked_response(decl: OperationDecl, result: CallResult) -> CallResult:
 class OutputPortRuntime:
     """A deployed output port: lazy connection, notify and solicit."""
 
-    def __init__(self, port: OutputPort, connector: Connector):
+    def __init__(self, port: OutputPort, connector: Connector, loop: Loop | None = None):
         self.port = port
         self._connector = connector
+        self._loop = loop
         self._conn: Connection | None = None
-        self._conn_lock = threading.Lock()
+        # on a loop its lock guards the connection: a step on the loop and a
+        # blocking solicit from another thread then take the same lock first
+        self._conn_lock = loop.lock if loop is not None else threading.Lock()
 
     def _decl(self, op: str, want_kind: str) -> OperationDecl:
         decl = self.port.interface.get(op)
@@ -392,7 +412,7 @@ class OutputPortRuntime:
 
     def _connection(self) -> Connection:
         with self._conn_lock:
-            self._conn = reconnect(self._conn, self._connector, self.port.location)
+            self._conn = reconnect(self._conn, self._connector, self.port.location, self._loop)
             return self._conn
 
     def notify(self, op: str, payload: State) -> None:
@@ -431,7 +451,6 @@ class ReplyHandle:
 
     def __init__(self, channel):
         self.channel = channel
-        self._lock = threading.Lock()
 
     def send_response(self, frame_id: str, operation: str, payload: State) -> None:
         self._send(frames.response_frame(frame_id, operation, payload))
@@ -441,26 +460,29 @@ class ReplyHandle:
 
     def _send(self, frame: Frame) -> None:
         try:
-            with self._lock:
-                self.channel.send(frames.encode_frame(frame))
+            self.channel.send(frames.encode_frame(frame))
         except OSError:
             pass  # peer is gone; nothing left to answer
 
 
 class FrameEndpoint:
-    """A location served by handing each request frame to ``on_request``.
+    """A location served on ``loop`` by handing each request frame to
+    ``on_request``.
 
-    Each accepted channel gets its own daemon thread and ``ReplyHandle``.
-    A line ``read_frames`` yields that is not a request frame is answered
-    with ``ProtocolFault`` under the id salvaged from it, and the channel
-    stays open.  At EOF the channel is closed, which frees its socket at
-    once: a caller keeps its write side open until its answers arrive.
-    ``close`` stops listening and closes every channel still served.
+    Each accepted channel is attached to the loop with its own
+    ``ReplyHandle``.  A line that is not a request frame is answered with
+    ``ProtocolFault`` under the id salvaged from it, and the channel stays
+    open.  A line longer than ``transport.MAX_LINE`` is answered with
+    ``ProtocolFault`` under no id, unparsed, and its channel is closed.  At
+    EOF the channel is closed, which frees its socket at once: a caller
+    keeps its write side open until its answers arrive.  ``close`` stops
+    listening and closes every channel still served.
     """
 
     def __init__(self, location: Location, bind: Binder,
-                 on_request: Callable[[Frame, ReplyHandle], None]):
+                 on_request: Callable[[Frame, ReplyHandle], None], loop: Loop):
         self._on_request = on_request
+        self._loop = loop
         self._lock = threading.Lock()
         self._channels: set = set()
         self._closed = False
@@ -472,18 +494,25 @@ class FrameEndpoint:
                 channel.close()
                 return
             self._channels.add(channel)
-        threading.Thread(target=self._serve, args=(channel,), daemon=True).start()
-
-    def _serve(self, channel) -> None:
         handle = ReplyHandle(channel)
-        for line, frame in read_frames(channel):
-            if frame is None or frame.type != frames.REQUEST:
-                handle.send_fault(frames.salvage_request_id(line), "", PROTOCOL_FAULT)
-            else:
-                self._on_request(frame, handle)
-        channel.close()
+        channel.attach(self._loop, lambda line: self._serve_line(handle, line),
+                       lambda overflow: self._end(handle, overflow))
+
+    def _serve_line(self, handle: ReplyHandle, line: bytes) -> None:
+        if not line.strip():
+            return
+        frame = _frame_of(line)
+        if frame is None or frame.type != frames.REQUEST:
+            handle.send_fault(frames.salvage_request_id(line), "", PROTOCOL_FAULT)
+        else:
+            self._on_request(frame, handle)
+
+    def _end(self, handle: ReplyHandle, overflow: bool) -> None:
+        if overflow:
+            handle.send_fault("", "", PROTOCOL_FAULT)
+        handle.channel.close()
         with self._lock:
-            self._channels.discard(channel)
+            self._channels.discard(handle.channel)
 
     def close(self) -> None:
         self.listener.close()
@@ -498,10 +527,10 @@ class InputPortListener:
     """A served input port feeding decoded messages into ``sink``, an
     engine's ``submit``."""
 
-    def __init__(self, port: InputPort, sink, binder: Binder):
+    def __init__(self, port: InputPort, sink, binder: Binder, loop: Loop):
         self.port = port
         self._sink = sink
-        self._endpoint = FrameEndpoint(port.location, binder, self._handle_request)
+        self._endpoint = FrameEndpoint(port.location, binder, self._handle_request, loop)
 
     @property
     def bound_location(self) -> Location:

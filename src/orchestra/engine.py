@@ -19,18 +19,24 @@ documents reach only local state.  The host program reaches the other two
 through ``Engine.global_read``, ``global_write``, ``global_add`` and
 ``engine.storage``.
 
-Sessions execute on a single driver thread that repeatedly picks one
-ready (session, strand) pair with a seeded generator, so a fixed seed
-fixes every scheduling choice.  The driver takes the engine lock once per
-step: the round that picks a step also does the bookkeeping of the step
-before it (its session is touched, and ended if the step ended it), and
-the step itself runs outside the lock.  A step that raises an error other
-than a fault ends only its own session, as ``fault(IOFault)``.
+Sessions execute through ``run_ready``, which repeatedly picks one ready
+(session, strand) pair with a seeded generator, so a fixed seed fixes
+every scheduling choice.  It takes the engine lock once per step: the
+round that picks a step also does the bookkeeping of the step before it
+(its session is touched, and ended if the step ended it), and the step
+itself runs outside the lock.  A step that raises an error other than a
+fault ends only its own session, as ``fault(IOFault)``.  Who calls
+``run_ready`` depends on where the engine runs: in a container, the
+container's loop (``transport.Loop``) calls it between polls, on the
+thread that also reads and answers the container's channels; an engine
+started without a loop starts one driver thread that calls it.  Either
+way only one thread steps an engine at a time, and nothing but
+``run_ready`` and ``submit`` draws from its generator.
 
 In sequential mode only the oldest live session runs and the younger ones
 wait for it to finish, which is exactly what lets call cycles deadlock; a
 watchdog reports that quiescence instead of hanging silently.  Between
-events the driver sleeps until the watchdog's next deadline.
+events the loop or the driver sleeps until the watchdog's next deadline.
 
 Every event record is built once and handed to one sink under the engine
 lock, so the records of all threads form one order and their ``ts`` never
@@ -80,6 +86,7 @@ from .interpreter import (
 )
 from .state import EMPTY, State, UNDEFINED, Value
 from .storage import Storage
+from .transport import Loop, STEP_BUDGET
 
 SEQUENTIAL = "sequential"
 CONCURRENT = "concurrent"
@@ -221,6 +228,7 @@ class Engine:
         event_sink=None,
         watchdog_grace: float = 0.5,
         log_steps: bool = False,
+        loop: Loop | None = None,
     ):
         if mode not in (SEQUENTIAL, CONCURRENT):
             raise StartupError(f"unknown execution mode {mode!r}")
@@ -254,6 +262,7 @@ class Engine:
         self._last_activity = time.monotonic()
         self._started = threading.Event()
         self._stop_requested = False
+        self._loop = loop
         self._driver: threading.Thread | None = None
         self.final_report: dict[int, Completion] | None = None
 
@@ -266,20 +275,36 @@ class Engine:
         if self._behaviour.firing:
             with self._lock:
                 self._create_session_locked(EMPTY, firing=True)
-        self._driver = threading.Thread(target=self._drive, daemon=True, name=f"engine-{self.name}")
-        self._driver.start()
+        if self._loop is None:
+            self._driver = threading.Thread(target=self._drive, daemon=True,
+                                            name=f"engine-{self.name}")
+            self._driver.start()
+        else:
+            self._loop.add_worker(self.run_ready)
         self._started.set()
         return self
 
     def stop(self) -> dict[int, Completion]:
-        """Terminate running sessions, discard global state, keep storage."""
+        """Terminate running sessions, discard global state, keep storage.
+
+        On a loop the termination runs on the calling thread under the
+        loop's lock, which keeps the loop from stepping this engine
+        meanwhile and, taken on the loop itself, waits for nothing."""
         if not self._started.is_set():
             self.final_report = {}
             return {}
-        with self._cond:
-            self._stop_requested = True
-            self._cond.notify_all()
-        self._driver.join(timeout=10.0)
+        loop = self._loop
+        if loop is None:
+            with self._cond:
+                self._stop_requested = True
+                self._cond.notify_all()
+            self._driver.join(timeout=10.0)
+        else:
+            with loop.lock:
+                loop.remove_worker(self.run_ready)
+                with self._lock:
+                    self._stop_requested = True
+                self._terminate_all_sessions()
         with self._globals_lock:
             self._globals.clear()
         with self._lock:
@@ -332,6 +357,8 @@ class Engine:
             self._emit("message_routed", session=outcome.session_id, op=m.operation,
                        outcome=outcome.kind, fault=outcome.fault)
             self._cond.notify_all()
+        if self._loop is not None:
+            self._loop.wake()
         return outcome
 
     def _create_session_locked(self, local: State, firing: bool = False) -> Session:
@@ -351,11 +378,14 @@ class Engine:
 
     # Driver --------------------------------------------------------------
 
-    def _drive(self) -> None:
-        """Pick and step, one engine-lock round per step: the round that
-        picks a step also does the bookkeeping of the step before it."""
+    def run_ready(self, budget: int) -> float | None:
+        """Take up to ``budget`` steps, one engine-lock round per step: the
+        round that picks a step also does the bookkeeping of the step before
+        it, and one more round does that of the last.  Returns 0 when steps
+        are left, else how long until the watchdog is due (None: only a new
+        event can give this engine work)."""
         lock, rng = self._lock, self._rng
-        session = None  # the session stepped last, if its bookkeeping is due
+        session = completion = None  # the session stepped last, if its bookkeeping is due
         while True:
             with lock:
                 if session is not None:
@@ -363,18 +393,29 @@ class Engine:
                     self._dirty.add(session.sid)
                     if completion is not None:
                         self._finish_session_locked(session, completion)
-                    session = None
                 if self._stop_requested:
-                    break
+                    return None
                 pairs = self._ready_pairs_locked()
                 if not pairs:
-                    self._cond.wait(self._check_deadlock_locked())
-                    continue
+                    return self._check_deadlock_locked()
+                if budget <= 0:
+                    return 0.0
+                budget -= 1
                 sid, strand = pairs[rng.randrange(len(pairs))]
                 session = self._sessions[sid]
                 if self.log_steps:
                     self._emit("step", session=sid, strand=strand.sid)
             completion = self._step(session, strand)
+
+    def _drive(self) -> None:
+        """The driver of an engine started without a loop."""
+        while True:
+            due = self.run_ready(STEP_BUDGET)
+            with self._cond:
+                if self._stop_requested:
+                    break
+                if due != 0 and not self._ready_pairs_locked():
+                    self._cond.wait(due)
         self._terminate_all_sessions()
 
     def _step(self, session: Session, strand: Strand) -> Completion | None:
@@ -542,6 +583,8 @@ class Engine:
             self._dirty.add(session.sid)
             self._touch_locked()
             self._cond.notify_all()
+        if self._loop is not None:
+            self._loop.wake()
 
     def _emit(self, event: str, session: int | None = None, **detail) -> None:
         with self._lock:

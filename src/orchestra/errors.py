@@ -37,6 +37,10 @@ class DecodeError(OrchestraError):
     """Bytes received from a peer do not form a valid frame."""
 
 
+class LineTooLong(DecodeError):
+    """A peer sent a line longer than the transport accepts."""
+
+
 class StartupError(OrchestraError):
     """A listener or engine could not be brought up."""
 

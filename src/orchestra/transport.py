@@ -1,26 +1,54 @@
-"""Byte transports: TCP sockets, in-memory channels, and local bindings.
+"""Byte transports: TCP sockets, in-memory channels, local bindings, and the
+loop that serves them.
 
 Both transports present the same line-oriented contract: ``send`` writes
-bytes, ``recv_line`` returns one LF-terminated line (or what remains at
-EOF, letting the frame decoder report the truncation).  Every channel
+bytes, and lines come out of one ``LineParser``, which splits on LF, holds
+at most ``MAX_LINE`` bytes of an unfinished line, and hands back what is
+left at EOF so the frame decoder can report the truncation.  Every channel
 counts its own traffic, and socket traffic additionally feeds a
 process-wide counter so tests can assert that co-located services really
 do talk without the network.
 
-Local bindings map ``local://name`` locations to in-memory channel pairs
-inside one process; the registry swap is atomic, so a name never has two
-listeners at once.
+A channel is read in one of two ways:
+
+* attached to a ``Loop``: the loop reads it when it has bytes, feeds the
+  parser and calls the channel's ``on_line`` for each whole line.  Sends
+  on an attached socket never block: what the kernel refuses waits in a
+  write buffer that the loop flushes when the socket is writable;
+* not attached: the thread that owns it calls ``recv_line``, which blocks
+  until a whole line or EOF.  Callers outside a container read this way.
+
+A ``Loop`` is one thread running one ``selectors`` poll.  It owns the
+listening sockets, the sockets and memory channel ends attached to it,
+and its workers (the engines of a container), which it runs between
+polls.  Local bindings map ``local://name`` locations to in-memory channel
+pairs inside one process; the registry swap is atomic, so a name never has
+two listeners at once.
 """
 
 from __future__ import annotations
 
 import itertools
+import selectors
 import socket
 import threading
+import sys
 from collections import deque
+from queue import SimpleQueue
 from typing import Callable
 
-from .errors import StartupError
+from .errors import LineTooLong, StartupError
+
+# The longest line frame/1 accepts, not counting its LF.
+MAX_LINE = 1 << 20
+
+# Steps one worker may take per loop round before the loop polls again.
+STEP_BUDGET = 64
+# Rounds of calls, channel reads and worker runs the loop makes between
+# two polls while they keep handing each other work.
+_PASSES_PER_POLL = 8
+_RECV_SIZE = 65536
+_CONNECT_TIMEOUT_S = 5.0
 
 
 class Counter:
@@ -63,6 +91,8 @@ def stop_tracing() -> list[tuple[str, str, bytes]]:
 
 
 def _trace(channel_name: str, direction: str, data: bytes) -> None:
+    if _trace_sink is None:  # not tracing: no lock to take
+        return
     with _trace_lock:
         if _trace_sink is not None:
             _trace_sink.append((channel_name, direction, data))
@@ -76,63 +106,210 @@ def _unique_name(base: str) -> str:
     return f"{base}#{next(_channel_serial)}"
 
 
-class _LineReader:
-    """The line rule both transports share: split on LF, hand back what is
-    left at EOF, trace each whole line.  A transport supplies
-    ``_read_chunk``: its next bytes, or ``b""`` at EOF."""
+class LineParser:
+    """The line rule without I/O: bytes go in through ``feed``, whole
+    LF-terminated lines come out.  Only the new bytes are scanned for LF,
+    so a line that arrives in many chunks costs time linear in its length.
+    Once the parser holds more than ``MAX_LINE`` bytes of one line it sets
+    ``too_long`` and takes no more bytes: nothing of that line is parsed."""
 
-    name: str
-    _buffer: bytes
+    def __init__(self) -> None:
+        self._parts: list[bytes] = []
+        self._held = 0
+        self.too_long = False
+
+    def feed(self, data: bytes) -> list[bytes]:
+        lines = []
+        if self.too_long:
+            return lines
+        start = 0
+        end = data.find(b"\n")
+        while end >= 0:
+            if self._parts:
+                self._parts.append(data[start:end + 1])
+                line = b"".join(self._parts)
+                self._parts.clear()
+                self._held = 0
+            else:
+                line = data[start:end + 1]
+            if len(line) > MAX_LINE + 1:
+                self.too_long = True
+                return lines
+            lines.append(line)
+            start = end + 1
+            end = data.find(b"\n", start)
+        if start < len(data):
+            self._held += len(data) - start
+            if self._held > MAX_LINE:
+                self._parts.clear()
+                self.too_long = True
+                return lines
+            self._parts.append(data[start:] if start else data)
+        return lines
+
+    def flush(self) -> bytes:
+        """What is left at EOF: the unterminated rest, possibly empty."""
+        rest = b"".join(self._parts)
+        self._parts.clear()
+        self._held = 0
+        return rest
+
+
+class _Channel:
+    """What both transports share: the parser, and the two ways to read.
+
+    A transport supplies ``_read_chunk`` (block for the next bytes, ``b""``
+    at EOF) for ``recv_line``, and calls ``_deliver`` and ``_end`` from the
+    loop once ``attach`` has given it one.
+    """
+
+    def __init__(self, name: str):
+        self.name = _unique_name(name)
+        self._parser = LineParser()
+        self._lines: deque[bytes] = deque()
+        self._closed = False
+        self._ended = False
+        self._loop: Loop | None = None
+        self._on_line: Callable[[bytes], None] | None = None
+        self._on_end: Callable[[bool], None] | None = None
+        self.bytes_in = 0
+        self.bytes_out = 0
 
     def _read_chunk(self) -> bytes:
         raise NotImplementedError
 
     def recv_line(self) -> bytes | None:
-        while b"\n" not in self._buffer:
+        """The next line, blocking; at EOF what is left (unterminated) and
+        then None.  Raises ``LineTooLong`` once a line outgrows the cap."""
+        while not self._lines:
+            if self._parser.too_long:
+                raise LineTooLong(f"line longer than {MAX_LINE} bytes on {self.name}")
             chunk = self._read_chunk()
             if not chunk:
-                leftover, self._buffer = self._buffer, b""
-                return leftover or None
-            self._buffer += chunk
-        line, self._buffer = self._buffer.split(b"\n", 1)
-        _trace(self.name, "in", line)
-        return line + b"\n"
+                return self._parser.flush() or None
+            self._lines.extend(self._parser.feed(chunk))
+        line = self._lines.popleft()
+        _trace(self.name, "in", line[:-1])
+        return line
+
+    def attach(self, loop: "Loop", on_line: Callable[[bytes], None],
+               on_end: Callable[[bool], None]) -> None:
+        """Have ``loop`` read this channel from now on: ``on_line(line)``
+        for each whole line, then ``on_end(overflow)`` once, at EOF or after
+        a line longer than ``MAX_LINE``."""
+        self._loop, self._on_line, self._on_end = loop, on_line, on_end
+
+    def _deliver(self, chunk: bytes) -> None:
+        """On the loop: hand each whole line in ``chunk`` to ``on_line``."""
+        parser = self._parser
+        for line in parser.feed(chunk):
+            _trace(self.name, "in", line[:-1])
+            self._on_line(line)
+            if self._closed:
+                return
+        if parser.too_long:
+            self._end(overflow=True)
+
+    def _end(self, overflow: bool = False) -> None:
+        """On the loop, once: EOF or an overlong line.  What is left of an
+        unterminated line goes to ``on_line`` first, except after overflow."""
+        if self._ended:
+            return
+        self._ended = True
+        rest = b"" if overflow else self._parser.flush()
+        if rest and not self._closed:
+            self._on_line(rest)
+        self._on_end(overflow)
 
 
-class SocketChannel(_LineReader):
+class SocketChannel(_Channel):
     """A connected TCP socket with buffered line reads and byte counting."""
 
     def __init__(self, sock: socket.socket, name: str = ""):
+        super().__init__(name or "socket")
         self._sock = sock
-        self._buffer = b""
         self._send_lock = threading.Lock()
-        self._closed = False
-        self.name = _unique_name(name or "socket")
-        self.bytes_in = 0
-        self.bytes_out = 0
+        self._pending = bytearray()  # what the kernel has not taken yet, attached only
 
     def send(self, data: bytes) -> None:
         # trace before the bytes fly: the peer's answer must never be able
         # to enter the trace ahead of the request that caused it
         _trace(self.name, "out", data)
         with self._send_lock:
-            self._sock.sendall(data)
+            if self._loop is None:
+                self._sock.sendall(data)
+            elif self._pending:
+                self._pending += data
+            else:
+                try:
+                    sent = self._sock.send(data)
+                except (BlockingIOError, InterruptedError):
+                    sent = 0
+                if sent < len(data):
+                    self._pending += data[sent:]
+                    self._loop.call_here(self._watch_writes)
         self.bytes_out += len(data)
         SOCKET_BYTES.add(len(data))
 
     def _read_chunk(self) -> bytes:
         try:
-            chunk = self._sock.recv(65536)
+            chunk = self._sock.recv(_RECV_SIZE)
         except OSError:
             return b""
+        self._count_in(chunk)
+        return chunk
+
+    def _count_in(self, chunk: bytes) -> None:
         self.bytes_in += len(chunk)
         SOCKET_BYTES.add(len(chunk))
-        return chunk
+
+    def attach(self, loop: "Loop", on_line, on_end) -> None:
+        super().attach(loop, on_line, on_end)
+        self._sock.setblocking(False)
+        loop.register(self._sock, self._on_event)
+
+    def _watch_writes(self) -> None:
+        if not self._closed and self._pending:
+            self._loop.modify(self._sock, selectors.EVENT_READ | selectors.EVENT_WRITE,
+                              self._on_event)
+
+    def _on_event(self, mask: int) -> None:
+        if self._closed:
+            return
+        if mask & selectors.EVENT_WRITE:
+            self._flush()
+        if mask & selectors.EVENT_READ:
+            try:
+                chunk = self._sock.recv(_RECV_SIZE)
+            except (BlockingIOError, InterruptedError):
+                return
+            except OSError:
+                chunk = b""
+            if chunk:
+                self._count_in(chunk)
+                self._deliver(chunk)
+            else:
+                self._end()
+
+    def _flush(self) -> None:
+        with self._send_lock:
+            try:
+                sent = self._sock.send(self._pending)
+            except (BlockingIOError, InterruptedError):
+                return
+            except OSError:
+                sent = len(self._pending)  # the peer is gone; EOF follows
+            del self._pending[:sent]  # drops a prefix without copying the rest
+            if not self._pending:
+                self._loop.modify(self._sock, selectors.EVENT_READ, self._on_event)
 
     def close(self) -> None:
         if self._closed:
             return
         self._closed = True
+        if self._loop is not None:
+            with self._loop.lock:
+                self._loop.unregister(self._sock)
         try:
             self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:
@@ -140,52 +317,62 @@ class SocketChannel(_LineReader):
         self._sock.close()
 
 
-class MemoryChannel(_LineReader):
-    """One end of an in-process duplex byte pipe."""
+class MemoryChannel(_Channel):
+    """One end of an in-process duplex byte pipe.  ``None`` in the queue
+    marks EOF; an empty send is not EOF."""
 
     def __init__(self, name: str = ""):
-        self.name = _unique_name(name or "memory")
-        self._incoming: deque[bytes] = deque()
-        self._cond = threading.Condition()
-        self._buffer = b""
-        self._closed = False
+        super().__init__(name or "memory")
+        self._incoming: SimpleQueue[bytes | None] = SimpleQueue()
         self.peer: "MemoryChannel | None" = None
-        self.bytes_in = 0
-        self.bytes_out = 0
 
     def send(self, data: bytes) -> None:
         peer = self.peer
         if peer is None:
             raise BrokenPipeError("channel has no peer")
         _trace(self.name, "out", data)
-        with peer._cond:
-            if peer._closed:
-                raise BrokenPipeError("peer closed")
-            peer._incoming.append(data)
-            peer._cond.notify_all()
+        if peer._closed:
+            raise BrokenPipeError("peer closed")
+        peer._put(data)
         self.bytes_out += len(data)
         peer.bytes_in += len(data)
         LOCAL_BYTES.add(len(data))
 
+    def _put(self, item: bytes | None) -> None:
+        self._incoming.put(item)
+        loop = self._loop
+        if loop is not None:
+            loop.channel_ready(self)
+
     def _read_chunk(self) -> bytes:
-        with self._cond:
-            while True:
-                self._cond.wait_for(lambda: self._incoming or self._closed)
-                if not self._incoming:
-                    return b""
-                chunk = self._incoming.popleft()
-                if chunk:  # an empty send is not EOF
-                    return chunk
+        while True:
+            chunk = self._incoming.get()
+            if chunk is None:
+                self._incoming.put(None)  # every later read sees EOF too
+                return b""
+            if chunk:
+                return chunk
+
+    def attach(self, loop: "Loop", on_line, on_end) -> None:
+        super().attach(loop, on_line, on_end)
+        if not self._incoming.empty():  # bytes that came before the loop
+            loop.channel_ready(self)
+
+    def _drain(self) -> None:
+        """On the loop: read every chunk queued so far."""
+        incoming = self._incoming
+        while not incoming.empty() and not self._ended:
+            chunk = incoming.get_nowait()
+            if chunk is None or self._closed:
+                self._end()
+            elif chunk:
+                self._deliver(chunk)
 
     def close(self) -> None:
-        with self._cond:
-            self._closed = True
-            self._cond.notify_all()
-        peer = self.peer
-        if peer is not None:
-            with peer._cond:
-                peer._closed = True
-                peer._cond.notify_all()
+        for end in (self, self.peer):
+            if end is not None and not end._closed:
+                end._closed = True
+                end._put(None)
 
 
 def memory_pair(name: str = "pair") -> tuple[MemoryChannel, MemoryChannel]:
@@ -194,6 +381,147 @@ def memory_pair(name: str = "pair") -> tuple[MemoryChannel, MemoryChannel]:
     b = MemoryChannel(f"{name}.server")
     a.peer, b.peer = b, a
     return a, b
+
+
+class Loop:
+    """One thread polling every channel attached to it, and running its
+    workers between polls.
+
+    Each round (dispatching the poll's events, running the calls other
+    threads handed over, reading memory channels, running the workers)
+    holds ``lock``.  Another thread takes the same lock to change what the
+    loop owns: attach or close a socket, add or remove a worker, stop an
+    engine.  A thread that holds an engine lock never takes this one, so
+    the order is always loop lock, then engine lock.
+
+    A worker is ``worker(budget)``: it does at most ``budget`` steps and
+    returns 0 when it has more, else the seconds until it next needs a
+    call, or None when only new work can give it some.  Work that arrives
+    from another thread wakes the poll through a socket pair.
+    """
+
+    def __init__(self, name: str = "loop"):
+        self.lock = threading.RLock()
+        self._selector = selectors.DefaultSelector()
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._wake_r.setblocking(False)
+        self._wake_w.setblocking(False)
+        self._selector.register(self._wake_r, selectors.EVENT_READ, self._on_wake)
+        self._ready: deque[MemoryChannel] = deque()
+        self._calls: deque[Callable[[], None]] = deque()
+        self._workers: list[Callable[[int], float | None]] = []
+        self._running = True
+        self._ident: int | None = None
+        self._thread = threading.Thread(target=self._run, daemon=True, name=name)
+        self._thread.start()
+        self._ident = self._thread.ident
+
+    def wake(self) -> None:
+        """Make the poll return; the loop itself needs no wake."""
+        if threading.get_ident() != self._ident:
+            try:
+                self._wake_w.send(b"\0")
+            except OSError:
+                pass  # the pair is full (the loop is awake) or closed (it is gone)
+
+    def call_here(self, fn: Callable[[], None]) -> None:
+        """Run ``fn`` on the loop: now when called there, else next round."""
+        if threading.get_ident() == self._ident:
+            fn()
+        else:
+            self._calls.append(fn)
+            self.wake()
+
+    def channel_ready(self, channel: MemoryChannel) -> None:
+        self._ready.append(channel)
+        self.wake()
+
+    # Selector and worker changes: on the loop, or holding ``lock``.
+
+    def register(self, sock: socket.socket, handler: Callable[[int], None]) -> None:
+        with self.lock:
+            self._selector.register(sock, selectors.EVENT_READ, handler)
+        self.wake()
+
+    def modify(self, sock: socket.socket, events: int, handler: Callable[[int], None]) -> None:
+        self._selector.modify(sock, events, handler)
+
+    def unregister(self, sock: socket.socket) -> None:
+        try:
+            self._selector.unregister(sock)
+        except (KeyError, ValueError):
+            pass  # never registered, or already closed
+
+    def add_worker(self, worker: Callable[[int], float | None]) -> None:
+        with self.lock:
+            self._workers.append(worker)
+        self.wake()
+
+    def remove_worker(self, worker: Callable[[int], float | None]) -> None:
+        with self.lock:
+            if worker in self._workers:
+                self._workers.remove(worker)
+
+    def close(self) -> None:
+        """Stop polling and release the loop's own sockets; waits for the
+        thread unless called from it."""
+        with self.lock:
+            self._running = False
+        self.wake()
+        if threading.get_ident() != self._ident:
+            self._thread.join(10.0)
+
+    # The loop ----------------------------------------------------------------
+
+    def _run(self) -> None:
+        self._ident = threading.get_ident()
+        select = self._selector.select
+        timeout: float | None = 0.0
+        try:
+            while True:
+                events = select(timeout)
+                with self.lock:
+                    if not self._running:
+                        return
+                    for key, mask in events:
+                        self._guarded(key.data, mask)
+                    timeout = self._work()
+        finally:
+            self._selector.close()
+            self._wake_r.close()
+            self._wake_w.close()
+
+    def _work(self) -> float | None:
+        """Run calls, memory reads and workers until none hands the others
+        more work, or for ``_PASSES_PER_POLL`` rounds; the poll timeout."""
+        calls, ready = self._calls, self._ready
+        for _ in range(_PASSES_PER_POLL):
+            while calls:
+                self._guarded(calls.popleft())
+            while ready:
+                self._guarded(ready.popleft()._drain)
+            timeout = None
+            for worker in tuple(self._workers):
+                due = worker(STEP_BUDGET)
+                if due is not None and (timeout is None or due < timeout):
+                    timeout = due
+            if not (calls or ready):
+                return timeout
+        return 0.0
+
+    def _guarded(self, fn, *args) -> None:
+        # an error in one handler is a bug to report as an uncaught thread
+        # error would be, not a reason to stop serving every other channel
+        try:
+            fn(*args)
+        except Exception:
+            threading.excepthook(threading.ExceptHookArgs((*sys.exc_info(), self._thread)))
+
+    def _on_wake(self, mask: int) -> None:
+        try:
+            self._wake_r.recv(4096)
+        except OSError:
+            pass
 
 
 class LocalRegistry:
@@ -233,9 +561,12 @@ class LocalListener:
 
 
 class TcpListener:
-    """Accept loop on a TCP address; each connection becomes a channel."""
+    """A listening TCP socket polled by ``loop``; each connection it accepts
+    becomes a channel handed to ``on_channel``.  ``close`` stops polling and
+    closes the socket, so the port refuses connections at once."""
 
-    def __init__(self, host: str, port: int, on_channel: Callable[[SocketChannel], None]):
+    def __init__(self, host: str, port: int, on_channel: Callable[[SocketChannel], None],
+                 loop: Loop):
         self._on_channel = on_channel
         try:
             # sets SO_REUSEADDR, and closes the socket when bind or listen fails
@@ -243,30 +574,34 @@ class TcpListener:
         except OSError as e:
             raise StartupError(f"cannot bind {host}:{port}: {e}") from e
         self.host, self.port = self._sock.getsockname()[:2]
+        self._sock.setblocking(False)
+        self._loop = loop
         self._closed = False
-        self._thread = threading.Thread(target=self._accept_loop, daemon=True)
-        self._thread.start()
+        loop.register(self._sock, self._on_accept)
 
-    def _accept_loop(self) -> None:
-        while True:
-            try:
-                conn, addr = self._sock.accept()
-            except OSError:
-                return
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            self._on_channel(SocketChannel(conn, name=f"socket:{addr[0]}:{addr[1]}"))
+    def _on_accept(self, mask: int) -> None:
+        if self._closed:
+            return
+        try:
+            conn, addr = self._sock.accept()
+        except OSError:  # the client gave up first, or no slot: the next poll retries
+            return
+        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._on_channel(SocketChannel(conn, name=f"socket:{addr[0]}:{addr[1]}"))
 
     def close(self) -> None:
         if self._closed:
             return
         self._closed = True
-        try:
-            self._sock.close()
-        except OSError:
-            pass
+        with self._loop.lock:
+            self._loop.unregister(self._sock)
+        self._sock.close()
 
 
-def connect_socket(host: str, port: int, timeout: float = 5.0) -> SocketChannel:
+def connect_socket(host: str, port: int, timeout: float = _CONNECT_TIMEOUT_S) -> SocketChannel:
+    """A channel to ``host:port``.  The connect blocks: on loopback it
+    takes tens of microseconds and a refusal returns at once, but a host
+    that drops the handshake holds the caller for up to ``timeout``."""
     sock = socket.create_connection((host, port), timeout=timeout)
     sock.settimeout(None)
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)

@@ -17,7 +17,7 @@ from orchestra.deployment import (
 from orchestra.engine import Engine
 from orchestra.errors import Fault, ValidationError
 from orchestra.state import EMPTY, State
-from orchestra.transport import LocalRegistry, TcpListener, connect_socket, memory_pair
+from orchestra.transport import LocalRegistry, Loop, TcpListener, connect_socket, memory_pair
 
 
 ECHO_IFACE = Interface({
@@ -40,7 +40,15 @@ def out_iface(**kinds):
 
 
 @pytest.fixture
-def rig():
+def loop():
+    """A loop to serve endpoints on, closed after the test."""
+    serving = Loop()
+    yield serving
+    serving.close()
+
+
+@pytest.fixture
+def rig(loop):
     """A served echo engine on a local location plus client plumbing."""
     registry = LocalRegistry()
     engines, listeners, ports = [], [], []
@@ -54,7 +62,7 @@ def rig():
                              [n for n, d in interface.operations.items()
                               if d.kind in ("OneWay", "RequestResponse")]))
         listeners.append(InputPortListener(
-            port, engine.submit, lambda loc, on_channel: registry.bind(loc.name, on_channel)))
+            port, engine.submit, lambda loc, on_channel: registry.bind(loc.name, on_channel), loop))
         return engine
 
     def client(location_name, **kinds):
@@ -230,14 +238,14 @@ def test_solicits_share_one_connection(rig):
     assert out._conn is conn_first
 
 
-def test_over_real_sockets():
+def test_over_real_sockets(loop):
     interface = ECHO_IFACE
     engine = Engine(behaviour=parse_behaviour(ECHO_DOC), interface=interface).start()
     port = InputPort(name="in", location=SocketLocation("127.0.0.1", 0),
                      interface=interface.restrict(["echo", "drop", "boom"]))
     listener = InputPortListener(
         port, engine.submit,
-        lambda loc, cb: TcpListener(loc.host, loc.port, cb))
+        lambda loc, cb: TcpListener(loc.host, loc.port, cb, loop), loop)
     bound = listener.bound_location
     out_port = OutputPort(name="out", location=bound, interface=out_iface(echo="SolicitResponse"))
     runtime = OutputPortRuntime(out_port, lambda loc: connect_socket(loc.host, loc.port))
@@ -249,12 +257,12 @@ def test_over_real_sockets():
         engine.stop()
 
 
-def test_a_line_nested_too_deeply_is_answered_and_the_connection_survives():
+def test_a_line_nested_too_deeply_is_answered_and_the_connection_survives(loop):
     engine = Engine(behaviour=parse_behaviour(ECHO_DOC), interface=ECHO_IFACE).start()
     port = InputPort(name="in", location=SocketLocation("127.0.0.1", 0),
                      interface=ECHO_IFACE.restrict(["echo", "drop", "boom"]))
     listener = InputPortListener(port, engine.submit,
-                                 lambda loc, cb: TcpListener(loc.host, loc.port, cb))
+                                 lambda loc, cb: TcpListener(loc.host, loc.port, cb, loop), loop)
     bound = listener.bound_location
     channel = connect_socket(bound.host, bound.port)
     try:
@@ -433,7 +441,7 @@ def test_lone_surrogates_in_frame_strings_are_protocol_faults(rig):
     assert (answer.id, answer.type, answer.payload.lookup("v")) == ("10", "response", "still here")
 
 
-def test_closing_an_endpoint_ends_every_channel_it_accepted():
+def test_closing_an_endpoint_ends_every_channel_it_accepted(loop):
     registry = LocalRegistry()
     acceptors = []
 
@@ -441,7 +449,7 @@ def test_closing_an_endpoint_ends_every_channel_it_accepted():
         acceptors.append(accept)
         return registry.bind(loc.name, accept)
 
-    endpoint = FrameEndpoint(LocalLocation("busy"), bind, lambda frame, handle: None)
+    endpoint = FrameEndpoint(LocalLocation("busy"), bind, lambda frame, handle: None, loop)
     early = registry.connect("busy")
     endpoint.close()
     with pytest.raises(ConnectionRefusedError):

@@ -8,7 +8,7 @@ import threading
 import pytest
 
 from orchestra.errors import StartupError
-from orchestra.transport import MemoryChannel, SocketChannel, TcpListener, memory_pair
+from orchestra.transport import Loop, MemoryChannel, SocketChannel, TcpListener, memory_pair
 
 
 def _socket_pair():
@@ -61,12 +61,14 @@ def test_failed_binds_leave_no_socket_open():
     held = socket.create_server(("127.0.0.1", 0))
     port = held.getsockname()[1]
     errors = []  # kept, as a caller that reports them would keep them
+    loop = Loop()
     try:
         before = len(os.listdir("/proc/self/fd"))
         for _ in range(50):
             with pytest.raises(StartupError) as caught:
-                TcpListener("127.0.0.1", port, lambda channel: None)
+                TcpListener("127.0.0.1", port, lambda channel: None, loop)
             errors.append(caught.value)
         assert len(os.listdir("/proc/self/fd")) <= before
     finally:
+        loop.close()
         held.close()
