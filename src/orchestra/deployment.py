@@ -24,16 +24,18 @@ calling end and by the container gateway:
 Threads: a ``FrameEndpoint`` serves every channel it accepts on one
 ``transport.Loop``, the container's, and starts no thread of its own.  A
 ``Connection`` given a loop is read by that loop; one without (a caller
-outside any container: the CLI, a test, a benchmark client) starts one
-reader thread.  Closing an endpoint also closes the channels it still
-serves, so their peers see EOF and reconnect instead of talking to a
-stopped service.  Both ends close a channel once they read EOF on it.
+outside any container: the CLI, a test, a benchmark client) is read by
+the threads that wait on it, as ``Connection`` tells.  Closing an
+endpoint also closes the channels it still serves, so their peers see
+EOF and reconnect instead of talking to a stopped service.  Both ends
+close a channel once they read EOF on it.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
+import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -260,18 +262,32 @@ def bound_location(location: Location, listener) -> Location:
 class Connection:
     """One channel multiplexing many calls, matched by frame id.
 
-    On a ``loop`` the loop reads its answers; without one a reader thread
-    of its own does.  Both go through ``_on_line``, the one response rule.
+    On a ``loop`` the loop reads its answers.  Without one, the threads
+    that wait for answers read them, one at a time: a caller blocked in
+    ``call`` reads the channel itself while no other thread does, handing
+    each answer it reads to its waiter, until its own arrives; a call that
+    no caller blocks on (``send_request`` with ``on_result``) gets a reader
+    thread, which reads while any call waits.  So a lone caller's answer
+    wakes no thread but the caller.  One more thread per connection sleeps
+    until the peer hangs up, then reads what is left, so the channel
+    closes at EOF even while no call waits.  Every answer goes through
+    ``_on_line``, the one response rule.
     """
 
     def __init__(self, channel, loop: Loop | None = None):
         self.channel = channel
         self._ids = itertools.count(1)
         self._lock = threading.Lock()
+        # notified when an answer is handed over, when the channel is free
+        # to read, and when the connection dies
+        self._turn = threading.Condition(self._lock)
         self._waiters: dict[str, Callable[[CallResult], None]] = {}
+        self._reading = loop is not None  # a thread is reading the channel
+        self._callers = 0  # threads blocked in ``call``, each ready to read
         self.dead = False
         if loop is None:
-            threading.Thread(target=self._read_loop, daemon=True).start()
+            threading.Thread(target=self._read_at_hangup, args=(channel.watch_hangup(),),
+                             daemon=True, name=f"hangup-{channel.name}").start()
         else:
             channel.attach(loop, self._on_line, self._on_end)
 
@@ -295,20 +311,101 @@ class Connection:
             with self._lock:
                 self._waiters.pop(frame_id, None)
             raise Fault(IO_FAULT, str(e)) from e
+        if on_result is not None:
+            self._start_reader()
         return frame_id
+
+    def call(self, operation: str, payload: State, resource: str = "",
+             timeout: float | None = 10.0) -> CallResult:
+        """One blocking call; see ``sync_request``."""
+        slot: list[CallResult] = []
+        with self._lock:
+            self._callers += 1
+        try:
+            frame_id = self.send_request(operation, payload, resource, slot.append)
+            if not self._read_until(slot, None if timeout is None else max(timeout, 0)):
+                self.forget(frame_id)
+                raise Fault(IO_FAULT, f"no response to {operation!r} within {timeout}s")
+        finally:
+            with self._lock:
+                self._callers -= 1
+            self._start_reader()  # for the calls left that no caller reads for
+        return slot[0]
 
     def forget(self, frame_id: str) -> None:
         """Stop waiting for the answer to ``frame_id``; a late one is dropped."""
         with self._lock:
             self._waiters.pop(frame_id, None)
 
-    def _read_loop(self) -> None:
-        try:
-            for line in iter(self.channel.recv_line, None):
-                self._on_line(line)
-        except (OSError, LineTooLong):
+    def _read_until(self, slot: list, timeout: float | None) -> bool:
+        """Wait until ``slot`` fills, reading the channel whenever no other
+        thread does; False when ``timeout`` passes first."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while True:
+            with self._lock:
+                while self._reading and not slot:
+                    left = None if deadline is None else deadline - time.monotonic()
+                    if left is not None and left <= 0:
+                        return False
+                    self._turn.wait(left)
+                if slot:
+                    return True
+                self._reading = True
+            try:
+                left = None if deadline is None else deadline - time.monotonic()
+                if left is not None and left <= 0 or not self._read_line(left):
+                    return bool(slot)
+            except TimeoutError:
+                return False
+            finally:
+                with self._lock:
+                    self._reading = False
+                    self._turn.notify_all()
+
+    def _read_at_hangup(self, wait_hangup: Callable[[], None]) -> None:
+        """Once the peer hangs up, read what is left up to EOF."""
+        wait_hangup()
+        with self._lock:
+            while self._reading:
+                self._turn.wait()
+            self._reading = True
+        while self._read_line(None):
             pass
-        self._on_end(False)
+
+    def _start_reader(self) -> None:
+        """Start a reader thread when calls wait that no thread reads for."""
+        with self._lock:
+            if self._reading or self._callers or self.dead or not self._waiters:
+                return
+            self._reading = True
+        threading.Thread(target=self._read_for_waiters, daemon=True,
+                         name=f"reader-{self.channel.name}").start()
+
+    def _read_for_waiters(self) -> None:
+        """The reader thread: read while any call waits."""
+        while True:
+            with self._lock:
+                if self.dead or not self._waiters:
+                    self._reading = False
+                    self._turn.notify_all()
+                    return
+            if not self._read_line(None):
+                return
+
+    def _read_line(self, timeout: float | None) -> bool:
+        """Read one line and hand it over; False once the channel has
+        ended.  Raises ``TimeoutError`` when none comes within ``timeout``."""
+        try:
+            line = self.channel.recv_line(timeout)
+        except TimeoutError:  # an OSError, but the channel lives on
+            raise
+        except (OSError, LineTooLong):
+            line = None
+        if line is None:
+            self._on_end(False)
+            return False
+        self._on_line(line)
+        return True
 
     def _on_line(self, line: bytes) -> None:
         # blank lines, undecodable lines and requests (which never belong
@@ -326,6 +423,8 @@ class Connection:
             waiter(CallResult(payload=frame.payload))
         else:
             waiter(CallResult(fault=frame.fault))
+        with self._lock:
+            self._turn.notify_all()
 
     def _on_end(self, overflow: bool) -> None:
         self.close()
@@ -337,6 +436,8 @@ class Connection:
             self._waiters.clear()
         for w in waiters:
             w(CallResult(fault=IO_FAULT))
+        with self._lock:
+            self._turn.notify_all()
 
     def close(self) -> None:
         """Close the channel; every call still waiting gets ``IOFault``."""
@@ -345,10 +446,10 @@ class Connection:
 
 
 def reconnect(conn: Connection | None, connector: Connector, location: Location,
-              loop: Loop | None = None) -> Connection:
+              loop: Loop) -> Connection:
     """``conn`` while it lives, otherwise a new connection to ``location``,
-    read on ``loop`` when one is given; a failed connect is ``IOFault``.
-    The caller holds the lock guarding where it keeps the connection."""
+    read on ``loop``; a failed connect is ``IOFault``.  The caller holds
+    the lock guarding where it keeps the connection."""
     if conn is not None and not conn.dead:
         return conn
     try:
@@ -361,22 +462,11 @@ def reconnect(conn: Connection | None, connector: Connector, location: Location,
 def sync_request(conn: Connection, op: str, payload: State, resource: str = "",
                  timeout: float | None = 10.0) -> CallResult:
     """One blocking call over an existing connection; resource set per call.
-    The caller waits on a lock it holds, which the answer releases, so it
-    must not run on the loop that reads ``conn``.  A ``timeout`` of None
-    waits for ever; a negative one does not wait."""
-    done = threading.Lock()
-    done.acquire()
-    slot: list[CallResult] = []
-
-    def on_result(result: CallResult) -> None:
-        slot.append(result)
-        done.release()
-
-    frame_id = conn.send_request(op, payload, resource, on_result)
-    if not done.acquire(timeout=-1 if timeout is None else max(timeout, 0)):
-        conn.forget(frame_id)
-        raise Fault(IO_FAULT, f"no response to {op!r} within {timeout}s")
-    return slot[0]
+    A caller of a connection without a loop reads the channel itself while
+    it waits; one of a connection read on a loop waits for the loop, so it
+    must not run on that loop.  A ``timeout`` of None waits for ever; a
+    negative one does not wait."""
+    return conn.call(op, payload, resource, timeout)
 
 
 def _checked_response(decl: OperationDecl, result: CallResult) -> CallResult:
@@ -391,16 +481,16 @@ def _checked_response(decl: OperationDecl, result: CallResult) -> CallResult:
 
 
 class OutputPortRuntime:
-    """A deployed output port: lazy connection, notify and solicit."""
+    """A deployed output port: lazy connection, notify and solicit.
 
-    def __init__(self, port: OutputPort, connector: Connector, loop: Loop | None = None):
+    The connection is read on ``loop``, whose lock guards it: a step on the
+    loop and a blocking solicit from another thread take the same lock."""
+
+    def __init__(self, port: OutputPort, connector: Connector, loop: Loop):
         self.port = port
         self._connector = connector
         self._loop = loop
         self._conn: Connection | None = None
-        # on a loop its lock guards the connection: a step on the loop and a
-        # blocking solicit from another thread then take the same lock first
-        self._conn_lock = loop.lock if loop is not None else threading.Lock()
 
     def _decl(self, op: str, want_kind: str) -> OperationDecl:
         decl = self.port.interface.get(op)
@@ -411,7 +501,7 @@ class OutputPortRuntime:
         return decl
 
     def _connection(self) -> Connection:
-        with self._conn_lock:
+        with self._loop.lock:
             self._conn = reconnect(self._conn, self._connector, self.port.location, self._loop)
             return self._conn
 
@@ -440,7 +530,7 @@ class OutputPortRuntime:
         return result.payload
 
     def close(self) -> None:
-        with self._conn_lock:
+        with self._loop.lock:
             if self._conn is not None:
                 self._conn.close()
                 self._conn = None

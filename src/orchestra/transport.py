@@ -15,8 +15,10 @@ A channel is read in one of two ways:
   parser and calls the channel's ``on_line`` for each whole line.  Sends
   on an attached socket never block: what the kernel refuses waits in a
   write buffer that the loop flushes when the socket is writable;
-* not attached: the thread that owns it calls ``recv_line``, which blocks
-  until a whole line or EOF.  Callers outside a container read this way.
+* not attached: a thread calls ``recv_line``, which blocks until a whole
+  line, EOF or its timeout.  The wait ``watch_hangup`` gives blocks until
+  the peer stops sending, and reads nothing.  Callers outside a container
+  read this way (see ``deployment.Connection``).
 
 A ``Loop`` is one thread running one ``selectors`` poll.  It owns the
 listening sockets, the sockets and memory channel ends attached to it,
@@ -29,12 +31,16 @@ two listeners at once.
 from __future__ import annotations
 
 import itertools
+import math
+import os
+import select
 import selectors
 import socket
-import threading
 import sys
+import threading
+import time
 from collections import deque
-from queue import SimpleQueue
+from queue import Empty, SimpleQueue
 from typing import Callable
 
 from .errors import LineTooLong, StartupError
@@ -43,10 +49,13 @@ from .errors import LineTooLong, StartupError
 MAX_LINE = 1 << 20
 
 # Steps one worker may take per loop round before the loop polls again.
+# A request-driven round takes a few (at most 14 in the benchmark's
+# workloads), so the budget binds only a session that keeps stepping, and
+# keeps it from holding up the container's channels.
 STEP_BUDGET = 64
-# Rounds of calls, channel reads and worker runs the loop makes between
-# two polls while they keep handing each other work.
-_PASSES_PER_POLL = 8
+# How long the poll waits after a switch interval of rounds that all left
+# work, so that the process's other threads get the GIL and the loop's lock.
+_BUSY_NAP_S = 0.0001
 _RECV_SIZE = 65536
 _CONNECT_TIMEOUT_S = 5.0
 
@@ -91,8 +100,6 @@ def stop_tracing() -> list[tuple[str, str, bytes]]:
 
 
 def _trace(channel_name: str, direction: str, data: bytes) -> None:
-    if _trace_sink is None:  # not tracing: no lock to take
-        return
     with _trace_lock:
         if _trace_sink is not None:
             _trace_sink.append((channel_name, direction, data))
@@ -158,9 +165,10 @@ class LineParser:
 class _Channel:
     """What both transports share: the parser, and the two ways to read.
 
-    A transport supplies ``_read_chunk`` (block for the next bytes, ``b""``
-    at EOF) for ``recv_line``, and calls ``_deliver`` and ``_end`` from the
-    loop once ``attach`` has given it one.
+    A transport supplies ``_read_chunk`` (wait for the next bytes, ``b""``
+    at EOF, ``TimeoutError`` when none come in time) for ``recv_line``,
+    and calls ``_deliver`` and ``_end`` from the loop once ``attach`` has
+    given it one.
     """
 
     def __init__(self, name: str):
@@ -175,16 +183,20 @@ class _Channel:
         self.bytes_in = 0
         self.bytes_out = 0
 
-    def _read_chunk(self) -> bytes:
+    def _read_chunk(self, timeout: float | None) -> bytes:
         raise NotImplementedError
 
-    def recv_line(self) -> bytes | None:
+    def recv_line(self, timeout: float | None = None) -> bytes | None:
         """The next line, blocking; at EOF what is left (unterminated) and
-        then None.  Raises ``LineTooLong`` once a line outgrows the cap."""
+        then None.  Raises ``LineTooLong`` once a line outgrows the cap, and
+        ``TimeoutError`` when no line is whole within ``timeout`` seconds
+        (None: no limit); the bytes read so far stay for the next call."""
+        deadline = None if timeout is None else time.monotonic() + timeout
         while not self._lines:
             if self._parser.too_long:
                 raise LineTooLong(f"line longer than {MAX_LINE} bytes on {self.name}")
-            chunk = self._read_chunk()
+            chunk = self._read_chunk(None if deadline is None
+                                     else max(deadline - time.monotonic(), 0.0))
             if not chunk:
                 return self._parser.flush() or None
             self._lines.extend(self._parser.feed(chunk))
@@ -228,6 +240,8 @@ class SocketChannel(_Channel):
     def __init__(self, sock: socket.socket, name: str = ""):
         super().__init__(name or "socket")
         self._sock = sock
+        self._readable = select.poll()  # waits for bytes in a read with a timeout
+        self._readable.register(sock, select.POLLIN)
         self._send_lock = threading.Lock()
         self._pending = bytearray()  # what the kernel has not taken yet, attached only
 
@@ -251,13 +265,31 @@ class SocketChannel(_Channel):
         self.bytes_out += len(data)
         SOCKET_BYTES.add(len(data))
 
-    def _read_chunk(self) -> bytes:
+    def _read_chunk(self, timeout: float | None) -> bytes:
+        if timeout is not None and not self._readable.poll(math.ceil(timeout * 1000)):
+            raise TimeoutError(f"nothing to read on {self.name}")
         try:
             chunk = self._sock.recv(_RECV_SIZE)
         except OSError:
             return b""
         self._count_in(chunk)
         return chunk
+
+    def watch_hangup(self) -> Callable[[], None]:
+        """A wait that blocks until the peer stops sending or this end
+        closes, and reads nothing.  It polls its own copy of the socket's
+        descriptor, taken now, so a close that comes first cannot leave it
+        polling a number the system has handed to another socket."""
+        fd = os.dup(self._sock.fileno())
+
+        def wait() -> None:
+            try:
+                watch = select.poll()
+                watch.register(fd, select.POLLRDHUP)  # not POLLIN: bytes wake nobody
+                watch.poll()
+            finally:
+                os.close(fd)
+        return wait
 
     def _count_in(self, chunk: bytes) -> None:
         self.bytes_in += len(chunk)
@@ -324,6 +356,7 @@ class MemoryChannel(_Channel):
     def __init__(self, name: str = ""):
         super().__init__(name or "memory")
         self._incoming: SimpleQueue[bytes | None] = SimpleQueue()
+        self._hung_up = threading.Event()  # set when either end closes
         self.peer: "MemoryChannel | None" = None
 
     def send(self, data: bytes) -> None:
@@ -331,8 +364,8 @@ class MemoryChannel(_Channel):
         if peer is None:
             raise BrokenPipeError("channel has no peer")
         _trace(self.name, "out", data)
-        if peer._closed:
-            raise BrokenPipeError("peer closed")
+        if self._closed or peer._closed:
+            raise BrokenPipeError("channel closed")
         peer._put(data)
         self.bytes_out += len(data)
         peer.bytes_in += len(data)
@@ -344,9 +377,12 @@ class MemoryChannel(_Channel):
         if loop is not None:
             loop.channel_ready(self)
 
-    def _read_chunk(self) -> bytes:
+    def _read_chunk(self, timeout: float | None) -> bytes:
         while True:
-            chunk = self._incoming.get()
+            try:
+                chunk = self._incoming.get(timeout=timeout)
+            except Empty:
+                raise TimeoutError(f"nothing to read on {self.name}") from None
             if chunk is None:
                 self._incoming.put(None)  # every later read sees EOF too
                 return b""
@@ -359,20 +395,29 @@ class MemoryChannel(_Channel):
             loop.channel_ready(self)
 
     def _drain(self) -> None:
-        """On the loop: read every chunk queued so far."""
+        """On the loop: read every chunk queued so far, up to EOF."""
         incoming = self._incoming
-        while not incoming.empty() and not self._ended:
+        while not incoming.empty() and not (self._ended or self._closed):
             chunk = incoming.get_nowait()
-            if chunk is None or self._closed:
+            if chunk is None:
                 self._end()
             elif chunk:
                 self._deliver(chunk)
 
     def close(self) -> None:
+        """Close this end.  The peer reads what was sent to it before EOF,
+        and a reader of this end blocked in ``recv_line`` wakes."""
+        if self._closed:
+            return
+        self._closed = True
         for end in (self, self.peer):
-            if end is not None and not end._closed:
-                end._closed = True
+            if end is not None:
+                end._hung_up.set()
                 end._put(None)
+
+    def watch_hangup(self) -> Callable[[], None]:
+        """A wait that blocks until either end closes, and reads nothing."""
+        return self._hung_up.wait
 
 
 def memory_pair(name: str = "pair") -> tuple[MemoryChannel, MemoryChannel]:
@@ -476,9 +521,20 @@ class Loop:
     def _run(self) -> None:
         self._ident = threading.get_ident()
         select = self._selector.select
+        switch_interval = sys.getswitchinterval()
         timeout: float | None = 0.0
+        blocked = time.monotonic()  # when the last poll could wait
         try:
             while True:
+                if timeout != 0.0:
+                    blocked = time.monotonic()
+                elif time.monotonic() - blocked > switch_interval:
+                    # A poll that waits for nothing hands the GIL and the
+                    # lock over too briefly for a waiting thread to take
+                    # them, so a loop that never runs out of work would
+                    # starve every other thread of the process.
+                    timeout = _BUSY_NAP_S
+                    blocked = time.monotonic()
                 events = select(timeout)
                 with self.lock:
                     if not self._running:
@@ -492,22 +548,20 @@ class Loop:
             self._wake_w.close()
 
     def _work(self) -> float | None:
-        """Run calls, memory reads and workers until none hands the others
-        more work, or for ``_PASSES_PER_POLL`` rounds; the poll timeout."""
+        """Run the calls handed over, read the memory channels with bytes,
+        and give each worker one budget of steps.  Returns the poll timeout:
+        0 while calls or channel reads are left, else the earliest worker's."""
         calls, ready = self._calls, self._ready
-        for _ in range(_PASSES_PER_POLL):
-            while calls:
-                self._guarded(calls.popleft())
-            while ready:
-                self._guarded(ready.popleft()._drain)
-            timeout = None
-            for worker in tuple(self._workers):
-                due = worker(STEP_BUDGET)
-                if due is not None and (timeout is None or due < timeout):
-                    timeout = due
-            if not (calls or ready):
-                return timeout
-        return 0.0
+        while calls:
+            self._guarded(calls.popleft())
+        while ready:
+            self._guarded(ready.popleft()._drain)
+        timeout = None
+        for worker in tuple(self._workers):
+            due = worker(STEP_BUDGET)
+            if due is not None and (timeout is None or due < timeout):
+                timeout = due
+        return 0.0 if calls or ready else timeout
 
     def _guarded(self, fn, *args) -> None:
         # an error in one handler is a bug to report as an uncaught thread

@@ -95,7 +95,7 @@ def test_a_solicit_response_must_conform_to_the_declared_response(containers):
 
     port = OutputPortRuntime(
         OutputPort("toCalc", LocalLocation("calc"), Interface.from_json_obj(declared)),
-        c.connect)
+        c.connect, c.loop)
     try:
         with pytest.raises(Fault) as e:
             port.solicit("calc", calc_payload("sum", 1, 2, "2"), timeout=5.0)

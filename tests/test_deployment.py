@@ -1,5 +1,7 @@
 """Ports and the wire: serving, invoking, multiplexing, fault answers."""
 
+import socket
+import sys
 import threading
 import time
 
@@ -17,7 +19,9 @@ from orchestra.deployment import (
 from orchestra.engine import Engine
 from orchestra.errors import Fault, ValidationError
 from orchestra.state import EMPTY, State
-from orchestra.transport import LocalRegistry, Loop, TcpListener, connect_socket, memory_pair
+from orchestra.transport import (
+    LocalRegistry, Loop, SocketChannel, TcpListener, connect_socket, memory_pair,
+)
 
 
 ECHO_IFACE = Interface({
@@ -68,7 +72,7 @@ def rig(loop):
     def client(location_name, **kinds):
         port = OutputPort(name="out", location=LocalLocation(location_name),
                           interface=out_iface(**kinds))
-        runtime = OutputPortRuntime(port, lambda loc: registry.connect(loc.name))
+        runtime = OutputPortRuntime(port, lambda loc: registry.connect(loc.name), loop)
         ports.append(runtime)
         return runtime
 
@@ -139,13 +143,13 @@ def test_type_violation_rejected_before_engine(rig):
     assert engine.session_ids() == []  # nothing reached the engine
 
 
-def test_client_side_type_check_before_io(rig):
+def test_client_side_type_check_before_io(rig, loop):
     serve, client, _ = rig
     port = OutputPort(name="out", location=LocalLocation("nowhere"),
                       interface=Interface({
                           "tell": OperationDecl("tell", "Notification",
                                                 MessageType((("n", "int"),)))}))
-    runtime = OutputPortRuntime(port, lambda loc: (_ for _ in ()).throw(OSError("no")))
+    runtime = OutputPortRuntime(port, lambda loc: (_ for _ in ()).throw(OSError("no")), loop)
     with pytest.raises(Fault) as err:
         runtime.notify("tell", State({"n": "oops"}))
     assert err.value.name == "TypeFault"  # raised before any connect attempt
@@ -248,7 +252,7 @@ def test_over_real_sockets(loop):
         lambda loc, cb: TcpListener(loc.host, loc.port, cb, loop), loop)
     bound = listener.bound_location
     out_port = OutputPort(name="out", location=bound, interface=out_iface(echo="SolicitResponse"))
-    runtime = OutputPortRuntime(out_port, lambda loc: connect_socket(loc.host, loc.port))
+    runtime = OutputPortRuntime(out_port, lambda loc: connect_socket(loc.host, loc.port), loop)
     try:
         assert runtime.solicit("echo", State({"v": 10})) == State({"v": 10, "plus": 11})
     finally:
@@ -279,7 +283,7 @@ def test_a_line_nested_too_deeply_is_answered_and_the_connection_survives(loop):
         engine.stop()
 
 
-def test_notify_writes_exactly_one_frame(rig):
+def test_notify_writes_exactly_one_frame(rig, loop):
     serve, client, registry = rig
     port = OutputPort(name="out", location=LocalLocation("onewire"),
                       interface=Interface({
@@ -297,7 +301,7 @@ def test_notify_writes_exactly_one_frame(rig):
         threading.Thread(target=pump, daemon=True).start()
 
     registry.bind("onewire", acceptor)
-    runtime = OutputPortRuntime(port, lambda loc: registry.connect(loc.name))
+    runtime = OutputPortRuntime(port, lambda loc: registry.connect(loc.name), loop)
     runtime.notify("tell", State({"n": 1}))
     time.sleep(0.1)
     assert len(got) == 1
@@ -318,6 +322,128 @@ def test_finished_session_receives_no_more_messages(rig):
     again = engine.submit(Message("drop", State({"v": 1})))
     assert again.kind == "created"
     assert again.session_id != first.session_id
+
+
+def _answer(channel, request, payload) -> None:
+    channel.send(frames.encode_frame(frames.response_frame(request.id, request.operation, payload)))
+
+
+def test_a_lone_blocking_caller_reads_its_own_answers():
+    client_end, server_end = memory_pair("lone")
+
+    def serve():
+        for line in iter(server_end.recv_line, None):
+            request = frames.decode_frame(line)
+            _answer(server_end, request, request.payload)
+
+    server = threading.Thread(target=serve)
+    server.start()
+    conn = Connection(client_end)
+    try:
+        for v in range(20):
+            assert sync_request(conn, "echo", State({"v": v}), timeout=5.0).payload == \
+                State({"v": v})
+        assert not [t.name for t in threading.enumerate() if t.name.startswith("reader-")]
+    finally:
+        conn.close()
+        server.join(5.0)
+        server_end.close()
+
+
+def test_an_answer_left_when_a_blocking_caller_returns_still_arrives():
+    """A call no caller blocks on, sent while one reads, gets a reader
+    thread once that caller has its answer and goes."""
+    client_end, server_end = memory_pair("leftover")
+    blocking_returned = threading.Event()
+    results = []
+
+    def serve():
+        requests = {}
+        for _ in range(2):
+            request = frames.decode_frame(server_end.recv_line())
+            requests[request.operation] = request
+        _answer(server_end, requests["block"], State({"for": "blocking"}))
+        blocking_returned.wait(5.0)
+        _answer(server_end, requests["back"], State({"for": "callback"}))
+
+    server = threading.Thread(target=serve)
+    server.start()
+    conn = Connection(client_end)
+
+    def blocking():
+        results.append(sync_request(conn, "block", EMPTY, timeout=5.0).payload)
+        blocking_returned.set()
+
+    caller = threading.Thread(target=blocking)
+    caller.start()
+    try:
+        deadline = time.monotonic() + 5.0
+        while not conn._callers and time.monotonic() < deadline:
+            time.sleep(0.001)
+        called_back = threading.Event()
+        conn.send_request("back", EMPTY, on_result=lambda r: (results.append(r.payload),
+                                                              called_back.set()))
+        assert called_back.wait(5.0)
+        caller.join(5.0)
+        assert results == [State({"for": "blocking"}), State({"for": "callback"})]
+    finally:
+        conn.close()
+        server.join(5.0)
+        server_end.close()
+
+
+def _pair(kind):
+    if kind == "memory":
+        return memory_pair("shared")
+    a, b = socket.socketpair()
+    return SocketChannel(a, "shared.client"), SocketChannel(b, "shared.server")
+
+
+@pytest.mark.parametrize("kind", ["memory", "socket"])
+def test_many_callers_share_one_connection_without_losing_an_answer(kind):
+    """Blocking callers and callbacks on one connection without a loop,
+    with thread switches forced often: each gets its own answer."""
+    client_end, server_end = _pair(kind)
+
+    def serve():
+        for line in iter(server_end.recv_line, None):
+            request = frames.decode_frame(line)
+            _answer(server_end, request, request.payload)
+
+    server = threading.Thread(target=serve)
+    server.start()
+    conn = Connection(client_end)
+    wrong, called_back = [], []
+
+    def caller(k):
+        for i in range(100):
+            v = k * 1000 + i
+            if i % 10 == 0:
+                conn.send_request("echo", State({"v": v}), on_result=lambda r, v=v:
+                                  called_back.append(r.payload == State({"v": v})))
+            elif sync_request(conn, "echo", State({"v": v}), timeout=10.0).payload != \
+                    State({"v": v}):
+                wrong.append(v)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=caller, args=(k,)) for k in range(6)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(30.0)
+        assert not any(t.is_alive() for t in callers)
+        deadline = time.monotonic() + 10.0
+        while len(called_back) < 60 and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert wrong == []
+        assert called_back == [True] * 60
+    finally:
+        sys.setswitchinterval(switch)
+        conn.close()
+        server.join(5.0)
+        server_end.close()
 
 
 def test_sync_request_timeout_forgets_its_waiter():

@@ -162,6 +162,93 @@ def test_an_oversized_line_is_answered_with_a_protocol_fault_and_its_channel_clo
         c.stop()
 
 
+def test_a_session_that_never_stops_stepping_holds_up_no_caller():
+    spinner = {
+        "name": "spinner",
+        "interface": {},
+        "behaviour": {"while": {"cond": "true", "body": "nil"}},
+        "engine": {"mode": "concurrent", "firing": True, "initiators": []},
+    }
+    c = load_container({"services": [spinner, calculator_def("socket://127.0.0.1:0", "calc")]})
+    try:
+        started = time.monotonic()
+        conn = Connection(c.connect(c.services["calc"].location_of("calc")))
+        try:
+            for i in range(5):
+                assert sync_request(conn, "calc", calc_payload("sum", i, 1, str(i)),
+                                    timeout=5.0).payload == State({"r": i + 1})
+            # the caller shares the GIL with the spinning loop, and still gets it
+            assert time.monotonic() - started < 2.0
+        finally:
+            conn.close()
+    finally:
+        c.stop()
+
+
+# Closing a memory channel ---------------------------------------------------------
+
+def test_a_loop_read_end_gets_what_its_peer_sent_before_closing():
+    loop = Loop()
+    try:
+        client, server = memory_pair("closing")
+        lines, ends = [], []
+        server.attach(loop, lines.append, ends.append)
+        with loop.lock:  # the loop reads nothing until both sends and the close are done
+            client.send(b"first\n")
+            client.send(b"last\n")
+            client.close()
+        deadline = time.monotonic() + 5.0
+        while not ends and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert lines == [b"first\n", b"last\n"]
+        assert ends == [False]
+        with pytest.raises(BrokenPipeError):
+            server.send(b"to nobody\n")
+    finally:
+        loop.close()
+
+
+def test_a_termination_handler_notify_reaches_a_co_located_service_on_unembed():
+    leaving = {
+        "name": "leaving",
+        "interface": {"never": {"kind": "OneWay"}},
+        "behaviour": {"scope": {
+            "name": "s",
+            "body": {"receive": {"op": "never", "into": ""}},
+            "onTerminate": {"notify": {"port": "out", "op": "bye",
+                                       "payload": {"who": "'leaving'"}}}}},
+        "engine": {"mode": "concurrent", "firing": True, "initiators": []},
+        "outputPorts": [{"name": "out", "location": "local://staying",
+                         "interface": {"bye": {"kind": "Notification",
+                                               "request": {"who": "string"}}}}],
+    }
+    staying = {
+        "name": "staying",
+        "interface": {"bye": {"kind": "OneWay", "request": {"who": "string"}}},
+        "behaviour": {"receive": {"op": "bye", "into": "m"}},
+        "engine": {"mode": "concurrent", "firing": False, "initiators": ["bye"]},
+        "inputPorts": [{"name": "in", "location": "local://staying", "interface": ["bye"]}],
+    }
+    c = load_container({"services": [staying, leaving], "embed": ["leaving"]})
+    try:
+        deadline = time.monotonic() + 5.0  # until the scope, and so its handler, is entered
+        while (c.services["leaving"].engine.session_view(1)[0] != "blocked"
+               and time.monotonic() < deadline):
+            time.sleep(0.005)
+        c.unembed("leaving")
+        engine = c.services["staying"].engine
+        deadline = time.monotonic() + 5.0
+        while not engine.session_ids() and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert engine.wait_all_finished(5.0)
+        (sid,) = engine.session_ids()
+        _, completion, local = engine.session_view(sid)
+        assert completion.kind == "success"
+        assert local.lookup("m_who") == "leaving"
+    finally:
+        c.stop()
+
+
 # When a reply leaves --------------------------------------------------------------
 
 class _SpySocket:
