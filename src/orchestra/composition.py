@@ -11,19 +11,24 @@ A container runs one or more services.  Composition comes in four shapes:
   operation name to the first input port of a member that exposes the
   operation, hiding the members entirely.
 
-The gateway relays over one upstream connection per target, reused and
-reopened by ``deployment.reconnect`` like an output port's.  Stopping a
-service closes the channels its input ports accepted, so the gateway and
-output ports reach a service re-embedded at the same location on their
-next call.
+A gateway target inside the container (every aggregation target and
+every ``local://`` redirect) serves the decoded frame itself, in its own
+request handler on the loop, and answers the client straight away under
+the client's frame id: no local channel, no second encoding.  Only a
+``socket://`` redirect is relayed, over one upstream connection per
+target, reused and reopened by ``deployment.reconnect`` like an output
+port's.  Stopping a service closes the channels its input ports accepted,
+so output ports reach a service re-embedded at the same location on their
+next call; the gateway, which looks the target up on every call, reaches
+it at once.
 
 Threads: a container runs one thread, its ``transport.Loop``.  The loop
 accepts on every socket listener, reads every channel the container
 serves (input ports, the gateway, the control port) and every upstream
-connection (the gateway's and the output ports'), decodes, routes, and
-between polls steps every engine through ``Engine.run_ready``.  A reply
-leaves in the step that makes it, by a send that does not block.  No
-thread is started per service, listener, channel or connection.  Calls
+connection (the gateway's socket relays and the output ports'), decodes,
+routes, and between polls steps every engine through ``Engine.run_ready``.
+A reply leaves in the step that makes it, by a send that does not block.
+No thread is started per service, listener, channel or connection.  Calls
 from other threads (``start_service``, ``embed``, ``stop``, ...) take the
 loop's lock, so they never run beside a loop round; the control port's
 embed and unembed run on the loop itself and wait for nothing.
@@ -54,7 +59,7 @@ from .deployment import (
 )
 from .engine import CONCURRENT, Engine, SEQUENTIAL
 from .errors import (
-    Fault, InterfaceClash, NAME_CLASH_FAULT, NameClash, OrchestraError, StartupError,
+    Fault, IO_FAULT, InterfaceClash, NAME_CLASH_FAULT, NameClash, OrchestraError, StartupError,
     UNKNOWN_OPERATION, UNKNOWN_RESOURCE, UNKNOWN_SERVICE_FAULT, UnknownService,
     ValidationError,
 )
@@ -228,11 +233,11 @@ class RunningService:
         self.listeners = listeners
         self.outputs = outputs
 
-    def location_of(self, op: str) -> Location | None:
-        """Where the first input port exposing ``op`` answers, if one does."""
+    def listener_for(self, op: str) -> InputPortListener | None:
+        """The first input port exposing ``op``, if one does."""
         for listener in self.listeners:
             if op in listener.port.interface:
-                return listener.bound_location
+                return listener
         return None
 
     def stop(self) -> None:
@@ -263,8 +268,8 @@ class Container:
         self.loop = Loop(name=f"container-{name}")
         self._gateway: FrameEndpoint | None = None
         self._gateway_loc: Location | None = None
-        # one upstream connection per gateway target, under the loop's lock
-        self._upstream: dict[Location, Connection] = {}
+        # one upstream connection per socket redirect target, under the loop's lock
+        self._upstream: dict[SocketLocation, Connection] = {}
         self._control: FrameEndpoint | None = None
         self._stopped = False
 
@@ -275,9 +280,9 @@ class Container:
             return self.registry.connect(location.name)
         return connect_socket(location.host, location.port)
 
-    def bind(self, location: Location, on_channel):
+    def bind(self, location: Location, on_channel, on_request):
         if isinstance(location, LocalLocation):
-            return self.registry.bind(location.name, on_channel)
+            return self.registry.bind(location.name, on_channel, on_request)
         return TcpListener(location.host, location.port, on_channel, self.loop)
 
     def _engine_seed(self, service_name: str) -> int:
@@ -381,7 +386,7 @@ class Container:
             running = self.services.get(service_name)
             if running is None:
                 raise UnknownService(f"aggregation maps {op!r} to unknown service {service_name!r}")
-            if running.location_of(op) is None:
+            if running.listener_for(op) is None:
                 raise ValidationError(
                     f"aggregation maps {op!r} to {service_name!r}, whose input ports lack it")
             parts.append(Interface({op: running.definition.interface.get(op)}))
@@ -403,14 +408,24 @@ class Container:
         return self._gateway_loc
 
     def dispatch_gateway_frame(self, frame: frames.Frame, handle: ReplyHandle) -> None:
-        """Route one gateway frame by resource name, else by aggregation."""
+        """Route one gateway frame by resource name, else by aggregation.
+        A target in this container serves the frame and answers ``handle``
+        itself; a socket redirect is relayed."""
         if frame.resource:
             with self._table_lock:
                 target = self.redirects.get(frame.resource)
             if target is None:
                 handle.send_fault(frame.id, frame.operation, UNKNOWN_RESOURCE)
-                return
-            self._forward(target, frame, handle)
+            elif isinstance(target, SocketLocation):
+                self._forward(target, frame, handle)
+            else:
+                serve = self.registry.request_handler(target.name)
+                if serve is None:
+                    handle.send_fault(frame.id, frame.operation, IO_FAULT)
+                else:
+                    # no resource: a redirect to the gateway's own location
+                    # is served once more, by aggregation, and not again
+                    serve(frame._replace(resource=""), handle)
             return
         with self._table_lock:
             aggregation = self.aggregation
@@ -425,13 +440,13 @@ class Container:
         if running is None:
             handle.send_fault(frame.id, frame.operation, UNKNOWN_SERVICE_FAULT)
             return
-        target = running.location_of(frame.operation)
-        if target is None:
+        listener = running.listener_for(frame.operation)
+        if listener is None:
             handle.send_fault(frame.id, frame.operation, UNKNOWN_OPERATION)
             return
-        self._forward(target, frame, handle)
+        listener.handle_request(frame, handle)
 
-    def _forward(self, target: Location, frame: frames.Frame, handle: ReplyHandle) -> None:
+    def _forward(self, target: SocketLocation, frame: frames.Frame, handle: ReplyHandle) -> None:
         """Relay a request upstream under a fresh id; its answer goes back
         under the client's id."""
 

@@ -238,9 +238,11 @@ class OutputPort:
                 )
 
 
-# A connector opens a channel to a location; a binder listens at one.
+# A connector opens a channel to a location.  A binder listens at one,
+# handing each channel it accepts to its second argument; a local binding
+# also keeps its third, which serves a request handed over in the container.
 Connector = Callable[[Location], object]
-Binder = Callable[[Location, Callable], object]
+Binder = Callable[[Location, Callable, Callable], object]
 
 
 def _frame_of(line: bytes) -> Frame | None:
@@ -576,7 +578,7 @@ class FrameEndpoint:
         self._lock = threading.Lock()
         self._channels: set = set()
         self._closed = False
-        self.listener = bind(location, self._accept)
+        self.listener = bind(location, self._accept, on_request)
 
     def _accept(self, channel) -> None:
         with self._lock:
@@ -620,13 +622,14 @@ class InputPortListener:
     def __init__(self, port: InputPort, sink, binder: Binder, loop: Loop):
         self.port = port
         self._sink = sink
-        self._endpoint = FrameEndpoint(port.location, binder, self._handle_request, loop)
+        self._endpoint = FrameEndpoint(port.location, binder, self.handle_request, loop)
 
     @property
     def bound_location(self) -> Location:
         return bound_location(self.port.location, self._endpoint.listener)
 
-    def _handle_request(self, frame: Frame, handle: ReplyHandle) -> None:
+    def handle_request(self, frame: Frame, handle: ReplyHandle) -> None:
+        """Serve one request frame; its answer, if any, goes to ``handle``."""
         decl = self.port.interface.get(frame.operation)
         if decl is None:
             handle.send_fault(frame.id, frame.operation, UNKNOWN_OPERATION)

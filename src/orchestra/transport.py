@@ -579,27 +579,37 @@ class Loop:
 
 
 class LocalRegistry:
-    """Container-scoped map of local location names to acceptors."""
+    """Container-scoped map of local location names to what serves them:
+    an acceptor for the channels ``connect`` opens, and the handler that
+    serves a request handed over inside the container with no channel."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._acceptors: dict[str, Callable[[MemoryChannel], None]] = {}
+        self._bound: dict[str, tuple[Callable[[MemoryChannel], None], Callable | None]] = {}
 
-    def bind(self, name: str, on_channel: Callable[[MemoryChannel], None]) -> "LocalListener":
+    def bind(self, name: str, on_channel: Callable[[MemoryChannel], None],
+             on_request: Callable | None = None) -> "LocalListener":
         with self._lock:
-            if name in self._acceptors:
+            if name in self._bound:
                 raise StartupError(f"local location {name!r} already bound")
-            self._acceptors[name] = on_channel
+            self._bound[name] = (on_channel, on_request)
         return LocalListener(self, name)
 
     def connect(self, name: str) -> MemoryChannel:
         with self._lock:
-            acceptor = self._acceptors.get(name)
-        if acceptor is None:
+            bound = self._bound.get(name)
+        if bound is None:
             raise ConnectionRefusedError(f"no local listener at {name!r}")
         client, server = memory_pair(f"local:{name}")
-        acceptor(server)
+        bound[0](server)
         return client
+
+    def request_handler(self, name: str) -> Callable | None:
+        """The handler bound with ``name``, or None when it has none or
+        nothing is bound there."""
+        with self._lock:
+            bound = self._bound.get(name)
+        return None if bound is None else bound[1]
 
 
 class LocalListener:
@@ -611,7 +621,7 @@ class LocalListener:
 
     def close(self) -> None:
         with self._registry._lock:
-            self._registry._acceptors.pop(self.name, None)
+            self._registry._bound.pop(self.name, None)
 
 
 class TcpListener:

@@ -21,7 +21,7 @@ from orchestra.errors import (
 )
 from orchestra.interpreter import CallResult
 from orchestra.state import State
-from orchestra.transport import SOCKET_BYTES, connect_socket
+from orchestra.transport import LOCAL_BYTES, SOCKET_BYTES, connect_socket
 
 
 def calc_payload(op, a, b, rid):
@@ -301,6 +301,115 @@ def test_redirect_to_an_unreachable_target_answers_io_fault(containers, target):
     assert result.fault == "IOFault"
 
 
+def _calc_expected(op, a, b):
+    """Reference arithmetic: division truncates toward zero."""
+    if op == "sum":
+        return a + b
+    if op == "sub":
+        return a - b
+    if op == "mul":
+        return a * b
+    q = abs(a) // abs(b)
+    return q if (a >= 0) == (b > 0) else -q
+
+
+_SINK_DEF = {
+    "name": "sink",
+    "interface": {"note": {"kind": "OneWay", "request": {"n": "int"}}},
+    "behaviour": {"receive": {"op": "note", "into": "m"}},
+    "engine": {"mode": "concurrent", "firing": False, "initiators": ["note"]},
+    "inputPorts": [{"name": "in", "location": "local://sink", "interface": ["note"]}],
+}
+
+
+def test_the_gateway_hands_in_container_calls_to_the_member_itself(containers):
+    """Redirects to ``local://`` and aggregation open no local channel and
+    no upstream connection, and an aggregated one-way leaves no waiter."""
+    load, _ = containers
+    c = load({"services": [calculator_def("local://calc", "calc"), _SINK_DEF],
+              "embed": ["calc", "sink"],
+              "gateway": "socket://127.0.0.1:0",
+              "redirects": {"CALC": "local://calc"},
+              "aggregate": {"publish": ["calc", "note"], "map": {"calc": "calc", "note": "sink"}}})
+    conn = Connection(c.connect(c.gateway_location))
+    local_before = LOCAL_BYTES.value
+    calls = [(("sum", "sub", "mul", "div")[i % 4], 7 * i - 150, i % 9 - 4 or 3) for i in range(50)]
+    answers = [sync_request(conn, "calc", calc_payload(op, a, b, f"r{i}"),
+                            resource="CALC" if i % 2 else "", timeout=5.0)
+               for i, (op, a, b) in enumerate(calls)]
+    conn.send_request("note", State({"n": 7}))
+    sink = c.services["sink"].engine
+    deadline = time.monotonic() + 5.0
+    while not sink.session_ids() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert sink.wait_all_finished(5.0)
+    conn.close()
+    assert [a.fault for a in answers] == [None] * 50
+    assert [a.payload.lookup("r") for a in answers] == [_calc_expected(*call) for call in calls]
+    assert sink.session_view(sink.session_ids()[0])[2].lookup("m_n") == 7
+    assert c._upstream == {}
+    assert LOCAL_BYTES.value == local_before
+    assert conn._waiters == {}
+
+
+def test_a_redirect_to_the_gateway_itself_is_answered_once(containers):
+    load, _ = containers
+    c = load({"services": [calculator_def("local://calc", "calc")],
+              "gateway": "local://gw",
+              "redirects": {"SELF": "local://gw"},
+              "aggregate": {"publish": ["calc"], "map": {"calc": "calc"}}})
+    channel = c.registry.connect("gw")
+    channel.send(frames.encode_frame(
+        frames.request_frame("s1", "calc", calc_payload("sum", 2, 3, "s1"), "SELF")))
+    channel.send(frames.encode_frame(
+        frames.request_frame("s2", "calc", calc_payload("mul", 2, 3, "s2"))))
+    answers = sorted((_read_answer(channel) for _ in range(2)), key=lambda a: a.id)
+    with pytest.raises(TimeoutError):
+        channel.recv_line(timeout=0.2)
+    channel.close()
+    assert [(a.id, a.type, a.payload.lookup("r")) for a in answers] == [
+        ("s1", "response", 5), ("s2", "response", 6)]
+
+
+def test_gateway_calls_held_by_an_unembedded_member_each_get_one_fault(containers):
+    """A member stopped with gateway calls in its sessions answers each of
+    them once, with the fault its terminated sessions owe."""
+    load, _ = containers
+    holder = {
+        "name": "holder",
+        "interface": {"hold": {"kind": "RequestResponse", "request": {"rid": "string"}},
+                      "release": {"kind": "OneWay", "request": {"rid": "string"}}},
+        "behaviour": {"seq": [{"receive": {"op": "hold", "into": "m"}},
+                              {"receive": {"op": "release", "into": "n"}},
+                              {"reply": {"op": "hold", "from": {"ok": "true"}}}]},
+        "engine": {"mode": "concurrent", "firing": False, "initiators": ["hold"]},
+        "correlation": {"hold": {"rid": "rid"}, "release": {"rid": "rid"}},
+        "inputPorts": [{"name": "in", "location": "local://holder",
+                        "interface": ["hold", "release"]}],
+    }
+    c = load({"services": [holder], "embed": ["holder"],
+              "gateway": "local://gw",
+              "redirects": {"H": "local://holder"},
+              "aggregate": {"publish": ["hold"], "map": {"hold": "holder"}}})
+    channel = c.registry.connect("gw")
+    ids = [f"h{i}" for i in range(6)]
+    for i, frame_id in enumerate(ids):
+        channel.send(frames.encode_frame(frames.request_frame(
+            frame_id, "hold", State({"rid": frame_id}), "H" if i % 2 else "")))
+    engine = c.services["holder"].engine
+    deadline = time.monotonic() + 5.0
+    while engine.live_session_count() < len(ids) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert engine.live_session_count() == len(ids)
+    c.unembed("holder")
+    answers = [_read_answer(channel) for _ in ids]
+    with pytest.raises(TimeoutError):
+        channel.recv_line(timeout=0.2)
+    channel.close()
+    assert sorted(a.id for a in answers) == ids
+    assert {(a.type, a.operation, a.fault) for a in answers} == {("fault", "hold", "Terminated")}
+
+
 def _op(name, kind="OneWay", **fields):
     return OperationDecl(name, kind, MessageType(tuple(fields.items())))
 
@@ -485,14 +594,15 @@ def test_a_channel_is_closed_when_its_peer_hangs_up():
     accepted = []
 
     class Recording(Container):
-        def bind(self, location, on_channel):
-            return super().bind(location, lambda ch: (accepted.append(ch), on_channel(ch)))
+        def bind(self, location, on_channel, on_request):
+            return super().bind(location, lambda ch: (accepted.append(ch), on_channel(ch)),
+                                on_request)
 
     container = Recording()
     try:
         running = container.start_service(
             ServiceDef.from_json_obj(calculator_def("socket://127.0.0.1:0", "calc")))
-        location = running.location_of("calc")
+        location = running.listener_for("calc").bound_location
         for i in range(5):  # the client closes first
             conn = Connection(connect_socket(location.host, location.port))
             result = sync_request(conn, "calc", calc_payload("sum", i, 1, str(i)))
@@ -645,7 +755,9 @@ def test_a_re_embedded_service_is_reached_again(containers, route):
     assert call(1).payload.lookup("r") == 2
     c.unembed("calc")
     c.embed(calculator_def("local://calc", "calc"))
-    # the first call may still meet the old connection before its EOF lands
+    if route == "gateway-redirect":  # the gateway looks its target up on every call
+        assert call(2).payload.lookup("r") == 3
+    # an output port's first call may still meet the old connection before its EOF lands
     for n in range(2, 7):
         result = call(n)
         if result.fault is None:

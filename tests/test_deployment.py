@@ -66,7 +66,9 @@ def rig(loop):
                              [n for n, d in interface.operations.items()
                               if d.kind in ("OneWay", "RequestResponse")]))
         listeners.append(InputPortListener(
-            port, engine.submit, lambda loc, on_channel: registry.bind(loc.name, on_channel), loop))
+            port, engine.submit,
+            lambda loc, on_channel, on_request: registry.bind(loc.name, on_channel, on_request),
+            loop))
         return engine
 
     def client(location_name, **kinds):
@@ -249,7 +251,7 @@ def test_over_real_sockets(loop):
                      interface=interface.restrict(["echo", "drop", "boom"]))
     listener = InputPortListener(
         port, engine.submit,
-        lambda loc, cb: TcpListener(loc.host, loc.port, cb, loop), loop)
+        lambda loc, cb, _serve: TcpListener(loc.host, loc.port, cb, loop), loop)
     bound = listener.bound_location
     out_port = OutputPort(name="out", location=bound, interface=out_iface(echo="SolicitResponse"))
     runtime = OutputPortRuntime(out_port, lambda loc: connect_socket(loc.host, loc.port), loop)
@@ -265,8 +267,9 @@ def test_a_line_nested_too_deeply_is_answered_and_the_connection_survives(loop):
     engine = Engine(behaviour=parse_behaviour(ECHO_DOC), interface=ECHO_IFACE).start()
     port = InputPort(name="in", location=SocketLocation("127.0.0.1", 0),
                      interface=ECHO_IFACE.restrict(["echo", "drop", "boom"]))
-    listener = InputPortListener(port, engine.submit,
-                                 lambda loc, cb: TcpListener(loc.host, loc.port, cb, loop), loop)
+    listener = InputPortListener(
+        port, engine.submit, lambda loc, cb, _serve: TcpListener(loc.host, loc.port, cb, loop),
+        loop)
     bound = listener.bound_location
     channel = connect_socket(bound.host, bound.port)
     try:
@@ -571,9 +574,9 @@ def test_closing_an_endpoint_ends_every_channel_it_accepted(loop):
     registry = LocalRegistry()
     acceptors = []
 
-    def bind(loc, accept):
+    def bind(loc, accept, on_request):
         acceptors.append(accept)
-        return registry.bind(loc.name, accept)
+        return registry.bind(loc.name, accept, on_request)
 
     endpoint = FrameEndpoint(LocalLocation("busy"), bind, lambda frame, handle: None, loop)
     early = registry.connect("busy")

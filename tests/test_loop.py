@@ -102,7 +102,7 @@ def test_a_blocking_reader_raises_once_a_line_outgrows_the_cap():
 def test_a_stopped_container_refuses_its_port_and_leaves_no_thread():
     baseline = threading.active_count()
     c = load_container({"services": [calculator_def("socket://127.0.0.1:0", "calc")]})
-    location = c.services["calc"].location_of("calc")
+    location = c.services["calc"].listener_for("calc").bound_location
     with _raw_client(location) as sock:
         sock.sendall(_call_line("1"))
         assert frames.decode_frame(_read_line(sock)).payload == State({"r": 3})
@@ -116,7 +116,7 @@ def test_threads_per_container_do_not_grow_with_clients():
     c = load_container({"services": [calculator_def("socket://127.0.0.1:0", "calc")]})
     clients = []
     try:
-        location = c.services["calc"].location_of("calc")
+        location = c.services["calc"].listener_for("calc").bound_location
 
         def serve_each():
             for i, sock in enumerate(clients):
@@ -138,7 +138,7 @@ def test_threads_per_container_do_not_grow_with_clients():
 def test_an_oversized_line_is_answered_with_a_protocol_fault_and_its_channel_closes():
     c = load_container({"services": [calculator_def("socket://127.0.0.1:0", "calc")]})
     try:
-        location = c.services["calc"].location_of("calc")
+        location = c.services["calc"].listener_for("calc").bound_location
         with _raw_client(location) as sock:
             def flood():
                 try:
@@ -172,7 +172,7 @@ def test_a_session_that_never_stops_stepping_holds_up_no_caller():
     c = load_container({"services": [spinner, calculator_def("socket://127.0.0.1:0", "calc")]})
     try:
         started = time.monotonic()
-        conn = Connection(c.connect(c.services["calc"].location_of("calc")))
+        conn = Connection(c.connect(c.services["calc"].listener_for("calc").bound_location))
         try:
             for i in range(5):
                 assert sync_request(conn, "calc", calc_payload("sum", i, 1, str(i)),
@@ -275,11 +275,11 @@ def _steps_before_the_reply_is_sent(behaviour) -> tuple[int, int]:
     records = []
 
     class Spying(Container):
-        def bind(self, location, on_channel):
+        def bind(self, location, on_channel, on_request):
             def spy(channel):
                 channel._sock = _SpySocket(channel._sock, records)
                 on_channel(channel)
-            return super().bind(location, spy)
+            return super().bind(location, spy, on_request)
 
     definition = calculator_def("socket://127.0.0.1:0", "svc")
     definition["behaviour"] = behaviour
@@ -287,7 +287,7 @@ def _steps_before_the_reply_is_sent(behaviour) -> tuple[int, int]:
     try:
         running = c.start_service(ServiceDef.from_json_obj(definition))
         running.engine.log_steps = True
-        with _raw_client(running.location_of("calc")) as sock:
+        with _raw_client(running.listener_for("calc").bound_location) as sock:
             sock.sendall(_call_line("1"))
             assert frames.decode_frame(_read_line(sock)).payload == State({"r": 1})
         assert running.engine.wait_all_finished(5.0)
@@ -329,7 +329,7 @@ def test_a_caller_that_never_reads_holds_up_no_other_caller():
     that sends them, and the engine lock it may hold, never block."""
     c = load_container({"services": [ECHO_DEF]})
     try:
-        location = c.services["echo"].location_of("echo")
+        location = c.services["echo"].listener_for("echo").bound_location
         blob = "b" * (256 * 1024)
         stuck = _raw_client(location)
 
