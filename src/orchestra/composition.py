@@ -28,10 +28,12 @@ serves (input ports, the gateway, the control port) and every upstream
 connection (the gateway's socket relays and the output ports'), decodes,
 routes, and between polls steps every engine through ``Engine.run_ready``.
 A reply leaves in the step that makes it, by a send that does not block.
-No thread is started per service, listener, channel or connection.  Calls
-from other threads (``start_service``, ``embed``, ``stop``, ...) take the
-loop's lock, so they never run beside a loop round; the control port's
-embed and unembed run on the loop itself and wait for nothing.
+No thread is started per service, listener, channel or connection.  The
+loop's lock is the container's one lock: its engines use it as their own,
+and it guards the gateway's tables and the channels each endpoint serves.
+Calls from other threads (``start_service``, ``embed``, ``set_redirect``,
+``stop``, ...) take it, so they never run beside a loop round; the control
+port's embed and unembed run on the loop itself and wait for nothing.
 
 All four can change at runtime.  Every container also serves a private
 control port (``local://_control``) with embed / unembed / setRedirect
@@ -43,7 +45,6 @@ carrying a service definition as data.
 from __future__ import annotations
 
 import json
-import threading
 import zlib
 from dataclasses import dataclass
 
@@ -264,7 +265,6 @@ class Container:
         self.aggregation: tuple[Interface, dict[str, str]] | None = None
         self.warnings: list[str] = []
         self._event_sink = event_sink
-        self._table_lock = threading.Lock()
         self.loop = Loop(name=f"container-{name}")
         self._gateway: FrameEndpoint | None = None
         self._gateway_loc: Location | None = None
@@ -374,7 +374,7 @@ class Container:
 
     def set_redirect(self, resource: str, target: str | Location) -> None:
         location = parse_location(target) if isinstance(target, str) else target
-        with self._table_lock:
+        with self.loop.lock:
             self.redirects[resource] = location
 
     def set_aggregation(self, publish: list[str], mapping: dict[str, str]) -> None:
@@ -391,7 +391,7 @@ class Container:
                     f"aggregation maps {op!r} to {service_name!r}, whose input ports lack it")
             parts.append(Interface({op: running.definition.interface.get(op)}))
         published = merge_interfaces(parts).restrict(publish)
-        with self._table_lock:
+        with self.loop.lock:
             self.aggregation = (published, dict(mapping))
 
     # Gateway serving ---------------------------------------------------------
@@ -408,12 +408,11 @@ class Container:
         return self._gateway_loc
 
     def dispatch_gateway_frame(self, frame: frames.Frame, handle: ReplyHandle) -> None:
-        """Route one gateway frame by resource name, else by aggregation.
-        A target in this container serves the frame and answers ``handle``
-        itself; a socket redirect is relayed."""
+        """On the loop: route one gateway frame by resource name, else by
+        aggregation.  A target in this container serves the frame and
+        answers ``handle`` itself; a socket redirect is relayed."""
         if frame.resource:
-            with self._table_lock:
-                target = self.redirects.get(frame.resource)
+            target = self.redirects.get(frame.resource)
             if target is None:
                 handle.send_fault(frame.id, frame.operation, UNKNOWN_RESOURCE)
             elif isinstance(target, SocketLocation):
@@ -427,8 +426,7 @@ class Container:
                     # is served once more, by aggregation, and not again
                     serve(frame._replace(resource=""), handle)
             return
-        with self._table_lock:
-            aggregation = self.aggregation
+        aggregation = self.aggregation
         if aggregation is None:
             handle.send_fault(frame.id, frame.operation, UNKNOWN_RESOURCE)
             return
@@ -457,9 +455,8 @@ class Container:
                 handle.send_response(frame.id, frame.operation, result.payload)
 
         try:
-            with self.loop.lock:
-                conn = self._upstream[target] = reconnect(
-                    self._upstream.get(target), self.connect, target, self.loop)
+            conn = self._upstream[target] = reconnect(
+                self._upstream.get(target), self.connect, target, self.loop)
             conn.send_request(frame.operation, frame.payload, "", on_result)
         except Fault as f:
             handle.send_fault(frame.id, frame.operation, f.name)

@@ -568,27 +568,28 @@ class FrameEndpoint:
     ``ProtocolFault`` under no id, unparsed, and its channel is closed.  At
     EOF the channel is closed, which frees its socket at once: a caller
     keeps its write side open until its answers arrive.  ``close`` stops
-    listening and closes every channel still served.
+    listening and closes every channel still served.  The loop's lock
+    guards the channels served: a local connect from another thread takes
+    it to hand its channel over.
     """
 
     def __init__(self, location: Location, bind: Binder,
                  on_request: Callable[[Frame, ReplyHandle], None], loop: Loop):
         self._on_request = on_request
         self._loop = loop
-        self._lock = threading.Lock()
         self._channels: set = set()
         self._closed = False
         self.listener = bind(location, self._accept, on_request)
 
     def _accept(self, channel) -> None:
-        with self._lock:
+        with self._loop.lock:
             if self._closed:
                 channel.close()
                 return
             self._channels.add(channel)
-        handle = ReplyHandle(channel)
-        channel.attach(self._loop, lambda line: self._serve_line(handle, line),
-                       lambda overflow: self._end(handle, overflow))
+            handle = ReplyHandle(channel)
+            channel.attach(self._loop, lambda line: self._serve_line(handle, line),
+                           lambda overflow: self._end(handle, overflow))
 
     def _serve_line(self, handle: ReplyHandle, line: bytes) -> None:
         if not line.strip():
@@ -603,16 +604,15 @@ class FrameEndpoint:
         if overflow:
             handle.send_fault("", "", PROTOCOL_FAULT)
         handle.channel.close()
-        with self._lock:
-            self._channels.discard(handle.channel)
+        self._channels.discard(handle.channel)
 
     def close(self) -> None:
         self.listener.close()
-        with self._lock:
+        with self._loop.lock:
             self._closed = True
             channels, self._channels = self._channels, set()
-        for channel in channels:
-            channel.close()
+            for channel in channels:
+                channel.close()
 
 
 class InputPortListener:

@@ -19,26 +19,30 @@ documents reach only local state.  The host program reaches the other two
 through ``Engine.global_read``, ``global_write``, ``global_add`` and
 ``engine.storage``.
 
-Sessions execute through ``run_ready``, which repeatedly picks one ready
-(session, strand) pair with a seeded generator, so a fixed seed fixes
-every scheduling choice.  It takes the engine lock once per step: the
-round that picks a step also does the bookkeeping of the step before it
-(its session is touched, and ended if the step ended it), and the step
-itself runs outside the lock.  A step that raises an error other than a
-fault ends only its own session, as ``fault(IOFault)``.  Who calls
-``run_ready`` depends on where the engine runs: in a container, the
-container's loop (``transport.Loop``) calls it between polls, on the
-thread that also reads and answers the container's channels; an engine
-started without a loop starts one driver thread that calls it.  Either
-way only one thread steps an engine at a time, and nothing but
-``run_ready`` and ``submit`` draws from its generator.
+Every engine runs on a ``transport.Loop``: a container's engines on the
+container's loop, on the thread that also reads and answers the
+container's channels, and an engine built without one on a loop of its
+own, which ``stop()`` closes.  The engine's lock is that loop's lock.
+Between polls the loop calls ``run_ready``, which, under that lock,
+repeatedly picks one ready (session, strand) pair with a seeded
+generator, steps it and does its bookkeeping (the session is touched,
+and ended if the step ended it), so a fixed seed fixes every scheduling
+choice.  A step that raises an error other than a fault ends only its
+own session, as ``fault(IOFault)``.  A host thread that submits a
+message or reads a session takes the same lock, so it waits for the
+loop's current round; only the loop steps an engine, and nothing but
+``run_ready`` and ``submit`` draws from its generator.  An engine with
+output ports is built on the loop that reads their connections, as a
+container builds its engines: a step holds the loop's lock while it
+sends, and an answer read on another loop would take that lock from
+there, the reverse order.
 
 In sequential mode only the oldest live session runs and the younger ones
 wait for it to finish, which is exactly what lets call cycles deadlock; a
 watchdog reports that quiescence instead of hanging silently.  Between
-events the loop or the driver sleeps until the watchdog's next deadline.
+events the loop sleeps until the watchdog's next deadline.
 
-Every event record is built once and handed to one sink under the engine
+Every event record is built once and handed to one sink under the loop's
 lock, so the records of all threads form one order and their ``ts`` never
 decreases.  The sink is ``event_sink`` when one is given, and otherwise
 the ring ``events``, which keeps the last ``EVENTS_KEPT`` records.
@@ -48,7 +52,7 @@ The cost of one message does not grow with the number of sessions:
 * routing asks a ``CorrelationIndex`` for the sessions that may match and
   hands only those to ``select_session``, which still makes the final
   choice, so the pick is the one a scan of every live session would make;
-* the driver keeps the ready (session, strand) pairs of the started
+* the engine keeps the ready (session, strand) pairs of the started
   sessions in one list, in session id order and then spawn order, which
   is the order a scan of every session would give.  It recomputes one
   session's pairs only after an event that can change them: a step of
@@ -86,7 +90,7 @@ from .interpreter import (
 )
 from .state import EMPTY, State, UNDEFINED, Value
 from .storage import Storage
-from .transport import Loop, STEP_BUDGET
+from .transport import Loop
 
 SEQUENTIAL = "sequential"
 CONCURRENT = "concurrent"
@@ -118,7 +122,8 @@ class Session(SessionContext):
 
     A session is also the context its own interpreter runs against: its
     local state, mailbox, pending replies and solicit responses, guarded
-    by the owning engine's lock.
+    by the engine's lock, which every caller of its methods holds: a step,
+    the routing of a message, and ``stop()``.
     """
 
     def __init__(self, engine: "Engine", sid: int, local: State):
@@ -141,26 +146,22 @@ class Session(SessionContext):
         return "blocked"
 
     def bind(self, bindings: dict[str, Value]) -> None:
-        """Bind local variables in one update under the engine lock: a
-        message binding a correlation variable of this session meanwhile is
-        not lost, and the routing index stays in step with ``local``."""
-        engine = self._engine
-        with engine._lock:
-            old = self.local
-            self.local = new = old.bind(bindings)
-            engine._index.update(self.sid, old, new)
+        """Bind local variables in one update, under the lock the step
+        holds: no message binds a correlation variable of this session
+        meanwhile, and the routing index stays in step with ``local``."""
+        old = self.local
+        self.local = new = old.bind(bindings)
+        self._engine._index.update(self.sid, old, new)
 
     def has_message(self, op: str) -> bool:
-        with self._engine._lock:
-            return any(m.operation == op for m in self.mailbox)
+        return any(m.operation == op for m in self.mailbox)
 
     def take_message(self, op: str):
-        with self._engine._lock:
-            box = self.mailbox
-            for i, m in enumerate(box):
-                if m.operation == op:
-                    del box[i]
-                    return m
+        box = self.mailbox
+        for i, m in enumerate(box):
+            if m.operation == op:
+                del box[i]
+                return m
         return None
 
     def note_request(self, msg: Message) -> None:
@@ -205,12 +206,10 @@ class Session(SessionContext):
         return token
 
     def response_ready(self, token: int) -> bool:
-        with self._engine._lock:
-            return token in self.responses
+        return token in self.responses
 
     def take_response(self, token: int) -> CallResult:
-        with self._engine._lock:
-            return self.responses.pop(token)
+        return self.responses.pop(token)
 
 
 class Engine:
@@ -239,7 +238,10 @@ class Engine:
         self._correlation = correlation or CorrelationConfig()
         self._outputs_map = outputs or {}
         self._rng = random.Random(seed)
-        self._lock = threading.RLock()
+        self._owns_loop = loop is None
+        self._loop = Loop(name=f"engine-{name}") if loop is None else loop
+        self._lock = self._loop.lock
+        # notified when a session ends and when the watchdog reports
         self._cond = threading.Condition(self._lock)
         self._sessions: dict[int, Session] = {}  # live sessions, in sid order
         self._finished: OrderedDict[int, tuple[Completion, State]] = OrderedDict()
@@ -262,57 +264,49 @@ class Engine:
         self._last_activity = time.monotonic()
         self._started = threading.Event()
         self._stop_requested = False
-        self._loop = loop
-        self._driver: threading.Thread | None = None
         self.final_report: dict[int, Completion] | None = None
 
     # Lifecycle -----------------------------------------------------------
 
     def start(self) -> "Engine":
-        if self._started.is_set():
-            raise StartupError("engine already started")
-        self._emit("engine_started", mode=self.mode)
-        if self._behaviour.firing:
-            with self._lock:
-                self._create_session_locked(EMPTY, firing=True)
-        if self._loop is None:
-            self._driver = threading.Thread(target=self._drive, daemon=True,
-                                            name=f"engine-{self.name}")
-            self._driver.start()
-        else:
+        """Begin serving: the firing session, if any, is created (and in
+        sequential mode started) before the loop can take a step or a
+        message, as if no message had come first."""
+        with self._lock:
+            if self._started.is_set():
+                raise StartupError("engine already started")
+            self._emit("engine_started", mode=self.mode)
+            if self._behaviour.firing:
+                session = self._create_session_locked(EMPTY, firing=True)
+                if not session.started:
+                    self._start_session_locked(session)
             self._loop.add_worker(self.run_ready)
-        self._started.set()
+            self._started.set()
         return self
 
     def stop(self) -> dict[int, Completion]:
-        """Terminate running sessions, discard global state, keep storage.
+        """Terminate running sessions, discard global state, keep storage,
+        and close the engine's own loop if it has one.
 
-        On a loop the termination runs on the calling thread under the
-        loop's lock, which keeps the loop from stepping this engine
-        meanwhile and, taken on the loop itself, waits for nothing."""
-        if not self._started.is_set():
-            self.final_report = {}
-            return {}
-        loop = self._loop
-        if loop is None:
-            with self._cond:
-                self._stop_requested = True
-                self._cond.notify_all()
-            self._driver.join(timeout=10.0)
-        else:
-            with loop.lock:
-                loop.remove_worker(self.run_ready)
-                with self._lock:
-                    self._stop_requested = True
-                self._terminate_all_sessions()
-        with self._globals_lock:
-            self._globals.clear()
+        The termination runs on the calling thread under the loop's lock,
+        which keeps the loop from stepping this engine meanwhile and, taken
+        on the loop itself, waits for nothing."""
         with self._lock:
-            report = {sid: completion for sid, (completion, _) in self._finished.items()}
-            report.update((sid, s.completion) for sid, s in self._sessions.items())
-        report = dict(sorted(report.items()))
-        self.final_report = report
-        self._emit("engine_stopped", report={k: repr(v) for k, v in report.items()})
+            if self._started.is_set():
+                self._loop.remove_worker(self.run_ready)
+                self._stop_requested = True
+                self._terminate_all_sessions()
+                with self._globals_lock:
+                    self._globals.clear()
+                report = {sid: completion for sid, (completion, _) in self._finished.items()}
+                report.update((sid, s.completion) for sid, s in self._sessions.items())
+                report = dict(sorted(report.items()))
+                self._emit("engine_stopped", report={k: repr(v) for k, v in report.items()})
+            else:
+                report = {}
+            self.final_report = report
+        if self._owns_loop:
+            self._loop.close()
         return report
 
     # Intake --------------------------------------------------------------
@@ -356,9 +350,7 @@ class Engine:
                 outcome = RoutingOutcome("rejected", fault=CORRELATION_ERROR)
             self._emit("message_routed", session=outcome.session_id, op=m.operation,
                        outcome=outcome.kind, fault=outcome.fault)
-            self._cond.notify_all()
-        if self._loop is not None:
-            self._loop.wake()
+        self._loop.wake()
         return outcome
 
     def _create_session_locked(self, local: State, firing: bool = False) -> Session:
@@ -376,53 +368,37 @@ class Engine:
         self._dirty.add(session.sid)
         self._emit("session_started", session=session.sid)
 
-    # Driver --------------------------------------------------------------
+    # Stepping ------------------------------------------------------------
 
     def run_ready(self, budget: int) -> float | None:
-        """Take up to ``budget`` steps, one engine-lock round per step: the
-        round that picks a step also does the bookkeeping of the step before
-        it, and one more round does that of the last.  Returns 0 when steps
-        are left, else how long until the watchdog is due (None: only a new
-        event can give this engine work)."""
-        lock, rng = self._lock, self._rng
-        session = completion = None  # the session stepped last, if its bookkeeping is due
-        while True:
-            with lock:
-                if session is not None:
-                    self._touch_locked()
-                    self._dirty.add(session.sid)
-                    if completion is not None:
-                        self._finish_session_locked(session, completion)
-                if self._stop_requested:
-                    return None
-                pairs = self._ready_pairs_locked()
-                if not pairs:
-                    return self._check_deadlock_locked()
-                if budget <= 0:
-                    return 0.0
-                budget -= 1
-                sid, strand = pairs[rng.randrange(len(pairs))]
-                session = self._sessions[sid]
-                if self.log_steps:
-                    self._emit("step", session=sid, strand=strand.sid)
+        """On the loop, under its lock: take up to ``budget`` steps, each
+        picked, taken and booked in turn.  Returns 0 when steps are left,
+        else how long until the watchdog is due (None: only a new event can
+        give this engine work)."""
+        rng = self._rng
+        while not self._stop_requested:
+            pairs = self._ready_pairs_locked()
+            if not pairs:
+                return self._check_deadlock_locked()
+            if budget <= 0:
+                return 0.0
+            budget -= 1
+            sid, strand = pairs[rng.randrange(len(pairs))]
+            session = self._sessions[sid]
+            if self.log_steps:
+                self._emit("step", session=sid, strand=strand.sid)
             completion = self._step(session, strand)
-
-    def _drive(self) -> None:
-        """The driver of an engine started without a loop."""
-        while True:
-            due = self.run_ready(STEP_BUDGET)
-            with self._cond:
-                if self._stop_requested:
-                    break
-                if due != 0 and not self._ready_pairs_locked():
-                    self._cond.wait(due)
-        self._terminate_all_sessions()
+            self._touch_locked()
+            self._dirty.add(sid)
+            if completion is not None:
+                self._finish_session_locked(session, completion)
+        return None
 
     def _step(self, session: Session, strand: Strand) -> Completion | None:
-        """Step ``strand`` of ``session``, outside the engine lock: the
-        session's completion once the step has ended it.  An error that is
-        not a fault is recorded with its traceback and ends only this
-        session, as ``fault(IOFault)``, so the others keep running."""
+        """Step ``strand`` of ``session``: the session's completion once the
+        step has ended it.  An error that is not a fault is recorded with
+        its traceback and ends only this session, as ``fault(IOFault)``, so
+        the others keep running."""
         try:
             session.runner.step(strand)
         except Exception as e:
@@ -434,7 +410,7 @@ class Engine:
     def _ready_pairs_locked(self) -> list[tuple[int, Strand]]:
         """Every ready (session, strand) pair of the started sessions, in
         sid order and then spawn order.  In sequential mode the one started
-        session is the oldest live one: before ``stop()`` only the driver
+        session is the oldest live one: before ``stop()`` only ``run_ready``
         ends sessions, and it steps only started ones, so when the oldest
         has finished the next oldest starts."""
         if self.mode == SEQUENTIAL:
@@ -455,7 +431,8 @@ class Engine:
         forever, so every reply it still owes is answered with a fault, and
         so is every request-response message still in its mailbox.  The
         session then leaves the live tables; its completion and final local
-        state are kept among the last ``FINISHED_KEPT``."""
+        state are kept among the last ``FINISHED_KEPT``.  It lets go of its
+        runner, which refers back to it, so reference counting frees it."""
         session.completion = completion
         self._emit("session_finished", session=session.sid, completion=repr(completion))
         if completion.kind == "fault":
@@ -476,14 +453,14 @@ class Engine:
         del self._sessions[sid]
         self._index.remove(sid, session.local)
         self._dirty.add(sid)
+        session.runner = None
         self._finished[sid] = (completion, session.local)
         if len(self._finished) > FINISHED_KEPT:
             self._finished.popitem(last=False)
         self._cond.notify_all()
 
     def _terminate_all_sessions(self) -> None:
-        with self._lock:
-            sessions = list(self._sessions.values())
+        sessions = list(self._sessions.values())
         for session in sessions:
             if session.completion is None:
                 session.started = True
@@ -501,21 +478,19 @@ class Engine:
                     stepped = True
                     budget -= 1
                 if completion is not None:
-                    with self._lock:
-                        self._finish_session_locked(session, completion)
+                    self._finish_session_locked(session, completion)
             if not stepped:
                 break
-        with self._lock:
-            for session in sessions:
-                if session.completion is None:
-                    self._finish_session_locked(session, TERMINATED)
+        for session in sessions:
+            if session.completion is None:
+                self._finish_session_locked(session, TERMINATED)
 
     def _check_deadlock_locked(self) -> float | None:
         """Flag quiescence that cannot resolve itself: blocked solicits or
         sessions waiting behind the oldest in sequential mode, with nothing
         running.
 
-        Returns how long the idle driver may sleep before the check is due,
+        Returns how long the idle loop may sleep before the check is due,
         or None when only a new event (which notifies) can change its answer.
         """
         if self._deadlock_flagged:
@@ -582,9 +557,7 @@ class Engine:
             session.responses[token] = result
             self._dirty.add(session.sid)
             self._touch_locked()
-            self._cond.notify_all()
-        if self._loop is not None:
-            self._loop.wake()
+        self._loop.wake()
 
     def _emit(self, event: str, session: int | None = None, **detail) -> None:
         with self._lock:
@@ -611,10 +584,15 @@ class Engine:
             return len(self._sessions)
 
     def wait_all_finished(self, timeout: float = 10.0) -> bool:
-        """Block until every session so far has finished."""
+        """Block until every session so far has finished.  A host call: the
+        wait gives up the loop's lock, every level the caller holds, so the
+        loop steps on meanwhile; on the loop itself it would wait for
+        nothing but its own timeout."""
         with self._cond:
             return self._cond.wait_for(lambda: not self._sessions, timeout)
 
     def wait_deadlock(self, timeout: float = 5.0) -> bool:
+        """Block until the watchdog reports; a host call, as
+        ``wait_all_finished`` is."""
         with self._cond:
             return self._cond.wait_for(lambda: bool(self.deadlock_reports), timeout)

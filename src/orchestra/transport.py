@@ -22,10 +22,10 @@ A channel is read in one of two ways:
 
 A ``Loop`` is one thread running one ``selectors`` poll.  It owns the
 listening sockets, the sockets and memory channel ends attached to it,
-and its workers (the engines of a container), which it runs between
-polls.  Local bindings map ``local://name`` locations to in-memory channel
-pairs inside one process; the registry swap is atomic, so a name never has
-two listeners at once.
+and its workers (the engines that run on it, a container's or one
+engine's own), which it runs between polls.  Local bindings map
+``local://name`` locations to in-memory channel pairs inside one process;
+the registry swap is atomic, so a name never has two listeners at once.
 """
 
 from __future__ import annotations
@@ -266,6 +266,10 @@ class SocketChannel(_Channel):
         SOCKET_BYTES.add(len(data))
 
     def _read_chunk(self, timeout: float | None) -> bytes:
+        """With a timeout it polls before it reads, where one blocking
+        ``recv`` under ``SO_RCVTIMEO`` would do: such a recv lets one caller
+        starve another of the GIL, which made the tail latency of two
+        callers worse than the time it saves."""
         if timeout is not None and not self._readable.poll(math.ceil(timeout * 1000)):
             raise TimeoutError(f"nothing to read on {self.name}")
         try:
@@ -436,8 +440,10 @@ class Loop:
     threads handed over, reading memory channels, running the workers)
     holds ``lock``.  Another thread takes the same lock to change what the
     loop owns: attach or close a socket, add or remove a worker, stop an
-    engine.  A thread that holds an engine lock never takes this one, so
-    the order is always loop lock, then engine lock.
+    engine.  The engines a loop runs use this lock as their own, so a
+    thread that submits to one waits for the loop's current round.  A
+    thread must not block while it holds the lock, except in a wait that
+    gives it up, every level of it, as ``threading.Condition.wait`` does.
 
     A worker is ``worker(budget)``: it does at most ``budget`` steps and
     returns 0 when it has more, else the seconds until it next needs a

@@ -1,9 +1,12 @@
 """Engine behaviour: routing, state tiers, modes, watchdog, lifecycle."""
 
+import gc
+import os
 import random
 import sys
 import threading
 import time
+import weakref
 from collections import Counter
 
 import pytest
@@ -16,6 +19,7 @@ from orchestra.engine import EVENTS_KEPT, FINISHED_KEPT, Engine, SEQUENTIAL, Ses
 from orchestra.errors import EncodeError, Fault
 from orchestra.interpreter import SessionRunner, fault_completion
 from orchestra.state import EMPTY, State, UNDEFINED
+from orchestra.transport import Loop
 
 
 def iface(**ops) -> Interface:
@@ -247,6 +251,7 @@ def test_stop_runs_termination_handlers(engines):
                      "onTerminate": {"assign": ["cleaned", "1"]}}}
     b = parse_behaviour({"root": doc, "firing": True, "initiators": ["never"]})
     e = engines(behaviour=b, interface=iface(never="OneWay"))
+    _wait_blocked(e, 1)  # in its scope, so the scope's handler is armed
     e.stop()
     sid = e.session_ids()[0]
     _, completion, local = e.session_view(sid)
@@ -378,7 +383,7 @@ def test_stop_ends_termination_handlers_that_never_end(engines):
     started = time.monotonic()
     report = e.stop()
     assert time.monotonic() - started < 5.0
-    assert not e._driver.is_alive()
+    assert not e._loop._thread.is_alive()
     assert sorted(report) == [1, 2, 3]
     assert all(c is not None and c.kind == "terminated" for c in report.values()), report
 
@@ -404,7 +409,7 @@ def test_request_left_in_a_finished_sessions_mailbox_gets_a_fault(engines):
                 interface=Interface({"calc": OperationDecl("calc", "RequestResponse",
                                                            MessageType(), MessageType())}))
     handle = _Handle()
-    # Holding the engine lock keeps the driver from stepping between the two
+    # Holding the engine lock keeps the loop from stepping between the two
     # calls, so the second one (no correlation function: it matches any live
     # session) lands in the first session's mailbox.
     with e._lock:
@@ -437,8 +442,8 @@ def test_finished_sessions_leave_the_live_tables(engines):
 
 
 def test_sink_records_form_one_order(engines):
-    """A slow sink on the submitting thread must not let the driver's
-    records overtake it: each record is written under the engine lock."""
+    """A slow sink on the submitting thread must not let the loop's
+    records overtake it: each record is written under the loop's lock."""
     doc = {"root": {"receive": {"op": "open", "into": ""}},
            "firing": False, "initiators": ["open"]}
     sink = []
@@ -464,7 +469,7 @@ def test_sink_records_form_one_order(engines):
 
 def _per_post_costs(monkeypatch, live: int, posts: int = 20) -> tuple[float, float]:
     """``correlates`` calls per post and ``SessionRunner.ready`` calls per
-    driver step, over posts to ``live`` open sessions."""
+    step, over posts to ``live`` open sessions."""
     counts = Counter()
 
     def counting(name, original):
@@ -569,7 +574,7 @@ def test_an_error_in_a_step_ends_only_its_session(engines):
     bad = e.submit(Message("ask", State({"v": 1}), channel_id=handle, request_id="1"))
     good = e.submit(Message("ask", State({"v": 2}), channel_id=handle, request_id="2"))
     assert e.wait_all_finished(5.0)
-    assert e._driver.is_alive()
+    assert e._loop._thread.is_alive()
     assert e.session_view(bad.session_id)[1] == fault_completion("IOFault")
     assert e.session_view(good.session_id)[1].kind == "success"
     assert sorted(handle.answers) == [("1", "IOFault"), ("2", "response")]
@@ -596,36 +601,19 @@ def test_a_reply_that_cannot_be_encoded_is_still_owed(engines):
     assert handle.answers == [("1", "IOFault")]  # the session's end answered it
 
 
-class _CountingLock:
-    """An engine lock that counts, per thread, how often it is entered."""
-
-    def __init__(self, lock):
-        self._lock = lock
-        self.enters = Counter()
-
-    def __enter__(self):
-        self.enters[threading.get_ident()] += 1
-        return self._lock.__enter__()
-
-    def __exit__(self, *exc):
-        return self._lock.__exit__(*exc)
-
-
 def test_a_receive_binds_its_fields_in_one_locked_update_without_checks(monkeypatch):
-    """The four fields of a delivered message land in one update that takes
-    the engine lock once, and nothing checks a name or a value again: the
-    payload was checked when it was built."""
+    """The four fields of a delivered message land in one update, made by
+    the loop's thread while it holds the loop's lock, and nothing checks a
+    name or a value again: the payload was checked when it was built."""
     e = Engine(behaviour=parse_behaviour({"receive": {"op": "data", "into": "m"}}),
                interface=iface(data="OneWay"), watchdog_grace=3600.0)
-    lock = e._lock = _CountingLock(e._lock)
     binds = []
     real_bind = Session.bind
 
     def bind(session, bindings):
-        me = threading.get_ident()
-        before = lock.enters[me]
+        held = e._loop.lock._is_owned() and threading.current_thread() is e._loop._thread
         real_bind(session, bindings)
-        binds.append((sorted(bindings), lock.enters[me] - before))
+        binds.append((sorted(bindings), held))
 
     monkeypatch.setattr(Session, "bind", bind)
     payload = State({"a": 1, "b": 2.0, "c": "x", "d": True})
@@ -640,13 +628,13 @@ def test_a_receive_binds_its_fields_in_one_locked_update_without_checks(monkeypa
         assert e.wait_all_finished(5.0)
     finally:
         e.stop()
-    assert binds == [(["m_a", "m_b", "m_c", "m_d"], 1)]
+    assert binds == [(["m_a", "m_b", "m_c", "m_d"], True)]
     assert not checks
     assert e.session_view(1)[2] == State({"m_a": 1, "m_b": 2.0, "m_c": "x", "m_d": True})
 
 
 def test_every_pick_draws_one_randrange(engines, monkeypatch):
-    """One ``randrange(len(pairs))`` per driver step, also when only one
+    """One ``randrange(len(pairs))`` per step, also when only one
     pair is ready: the seeded schedule depends on every draw."""
     draws = []
 
@@ -671,3 +659,90 @@ def test_every_pick_draws_one_randrange(engines, monkeypatch):
         e.stop()
     assert len(draws) == steps["step"] > 0
     assert {n for (n,) in draws} == {1, 2, 3}  # one, two and three ready pairs
+
+
+# One loop, one lock ----------------------------------------------------------------
+
+_COUNTING_DOC = {"seq": [{"assign": ["i", "0"]},
+                         {"par": [{"while": {"cond": "i < 200", "body": {"assign": ["i", "i + 1"]}}},
+                                  {"assign": ["j", "1"]}]}]}
+
+
+def test_the_engine_lock_is_its_loops_lock():
+    loop = Loop()
+    own = Engine(behaviour=parse_behaviour(_COUNTING_DOC), interface=iface())
+    shared = Engine(behaviour=parse_behaviour(_COUNTING_DOC), interface=iface(), loop=loop)
+    try:
+        assert own._lock is own._loop.lock
+        assert shared._lock is shared._loop.lock is loop.lock
+    finally:
+        own.stop()
+        shared.stop()
+        loop.close()
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_a_standalone_engine_runs_on_one_thread_and_leaves_nothing_behind(monkeypatch):
+    stepped = set()
+    real_step = SessionRunner.step
+
+    def step(runner, strand):
+        stepped.add(threading.current_thread())
+        return real_step(runner, strand)
+
+    monkeypatch.setattr(SessionRunner, "step", step)
+    threads, fds = set(threading.enumerate()), _open_fds()
+    e = Engine(behaviour=parse_behaviour(_COUNTING_DOC), interface=iface(), seed=3).start()
+    try:
+        assert set(threading.enumerate()) - threads == {e._loop._thread}
+        assert e.wait_all_finished(5.0)
+    finally:
+        e.stop()
+    assert stepped == {e._loop._thread}
+    assert not e._loop._thread.is_alive()
+    assert set(threading.enumerate()) <= threads and _open_fds() <= fds
+
+    never = Engine(behaviour=parse_behaviour(_COUNTING_DOC), interface=iface())
+    assert never.stop() == {}
+    assert not never._loop._thread.is_alive()
+    assert set(threading.enumerate()) <= threads and _open_fds() <= fds
+
+
+def test_a_host_wait_gives_up_every_level_of_the_loop_lock():
+    """``wait_all_finished``, called by a thread holding the loop's lock
+    twice while a session still has every step to take, returns once the
+    loop has stepped that session to its end."""
+    e = Engine(behaviour=parse_behaviour(_COUNTING_DOC), interface=iface())
+    try:
+        with e._lock, e._lock:
+            e.start()  # the loop can take no step before the wait
+            assert e.session_view(1)[0] == "running"
+            assert e.wait_all_finished(5.0)
+            _, completion, local = e.session_view(1)
+            assert (completion.kind, local.lookup("i"), local.lookup("j")) == ("success", 200, 1)
+    finally:
+        e.stop()
+
+
+def test_a_finished_session_is_freed_by_reference_counting():
+    doc = {"root": {"seq": [{"receive": {"op": "open", "into": "m"}},
+                            {"par": [{"assign": ["a", "m_id"]}, "nil"]}]},
+           "firing": False, "initiators": ["open"]}
+    e = Engine(behaviour=parse_behaviour(doc), interface=iface(open="OneWay"),
+               correlation=corr(open={"id": "sid"}))
+    gc.disable()
+    try:
+        e.start()
+        with e._lock:  # the session cannot end before the reference is taken
+            out = e.submit(Message("open", State({"id": 1})))
+            session = weakref.ref(e._sessions[out.session_id])
+        assert e.wait_all_finished(5.0)
+        assert session() is None
+        assert e.session_view(out.session_id)[2].lookup("a") == 1
+    finally:
+        gc.enable()
+        e.stop()

@@ -17,6 +17,7 @@ from orchestra.correlation import CorrelationConfig, CorrelationFunction, Messag
 from orchestra.deployment import Interface, OperationDecl
 from orchestra.engine import CONCURRENT, SEQUENTIAL, Engine
 from orchestra.state import State, to_json_obj
+from orchestra.transport import Loop
 
 BEHAVIOUR = {
     "root": {"seq": [
@@ -39,12 +40,12 @@ BEHAVIOUR = {
 }
 
 
-def _engine(mode: str, seed: int) -> Engine:
+def _engine(mode: str, seed: int, loop: Loop | None) -> Engine:
     interface = Interface({op: OperationDecl(name=op, kind="OneWay") for op in ("open", "never")})
     correlation = CorrelationConfig({"open": CorrelationFunction({"id": "sid"})})
     return Engine(behaviour=parse_behaviour(BEHAVIOUR), interface=interface,
                   correlation=correlation, mode=mode, seed=seed, log_steps=True,
-                  watchdog_grace=3600.0)
+                  watchdog_grace=3600.0, loop=loop)
 
 
 def _wait_quiet(engine: Engine) -> None:
@@ -58,8 +59,8 @@ def _wait_quiet(engine: Engine) -> None:
     raise AssertionError(f"engine never went quiet: {statuses}")
 
 
-def _run(mode: str, seed: int):
-    engine = _engine(mode, seed).start()
+def _run(mode: str, seed: int, loop: Loop | None = None):
+    engine = _engine(mode, seed, loop).start()
     try:
         for ident in (7, 8):
             _wait_quiet(engine)
@@ -218,3 +219,13 @@ def test_seeded_event_log_matches_recording(mode, seed):
     expected_events, expected_views = GOLDEN[(mode, seed)]
     assert events == expected_events
     assert views == expected_views
+
+
+@pytest.mark.parametrize("mode", [CONCURRENT, SEQUENTIAL])
+def test_an_engine_on_a_given_loop_logs_as_one_on_its_own_loop(mode):
+    loop = Loop()
+    try:
+        events, views = _run(mode, 2, loop)
+    finally:
+        loop.close()
+    assert (events, views) == GOLDEN[(mode, 2)]

@@ -3,7 +3,7 @@
 Each test here pins one property of serving every channel of a container
 from one ``transport.Loop``: the line cap, the threads a container runs,
 when a reply reaches the kernel, and the hazards of doing everything on
-one thread (no blocking send under an engine lock, no waiting on the loop
+one thread (no blocking send under the loop's lock, no waiting on the loop
 from the loop, connects from a step, ordering, determinism).
 """
 
@@ -326,7 +326,7 @@ ECHO_DEF = {
 
 def test_a_caller_that_never_reads_holds_up_no_other_caller():
     """Replies to a caller whose socket is full wait in a buffer: the step
-    that sends them, and the engine lock it may hold, never block."""
+    that sends them, and the loop's lock it holds, never block."""
     c = load_container({"services": [ECHO_DEF]})
     try:
         location = c.services["echo"].listener_for("echo").bound_location
