@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Iterable, NamedTuple
+from operator import itemgetter
+from typing import Any, NamedTuple, Sequence
 
 from .errors import ValidationError
 from .state import EMPTY, State, UNDEFINED, Value, check_var_name, values_equal
@@ -128,19 +129,25 @@ def bind_correlation(message: Message, cfun: CorrelationFunction, s: State) -> S
     """Bind still-undefined correlation variables from the message's fields.
 
     Callers must have checked ``correlates`` first; bound variables are
-    left untouched and non-correlated fields never bind anything.
+    left untouched and non-correlated fields never bind anything.  The
+    values bound were checked where the message entered, so they are bound
+    in one unchecked ``State.bind``.
     """
-    out = s
+    payload = message.payload
+    fresh = {}
     for field_name, var in cfun.pairs:
-        value = message.payload.lookup(field_name)
-        if value is not UNDEFINED and out.lookup(var) is UNDEFINED:
-            out = out.update(var, value)
-    return out
+        value = payload.lookup(field_name)
+        if value is not UNDEFINED and s.lookup(var) is UNDEFINED:
+            fresh[var] = value
+    return s.bind(fresh) if fresh else s
+
+
+_candidate_sid = itemgetter(0)
 
 
 def select_session(
     message: Message,
-    candidates: Iterable[tuple[Any, State]],
+    candidates: Sequence[tuple[Any, State]],
     config: CorrelationConfig,
     seed: int,
 ) -> Any | None:
@@ -149,10 +156,16 @@ def select_session(
     Candidates are (session id, state) pairs.  All matching candidates are
     equally eligible; ties are broken pseudo-randomly from the seed over
     the matches sorted by session id, so a fixed seed picks the same
-    session every time.
+    session every time.  With at most one candidate there is nothing to
+    sort and nothing to draw.
     """
-    cfun = config.function_for(message.operation)
-    matched = [sid for sid, st in sorted(candidates, key=lambda c: c[0])
+    cfun = config.functions.get(message.operation, _EMPTY_FUNCTION)
+    if len(candidates) <= 1:
+        for sid, st in candidates:
+            if correlates(message, cfun, st):
+                return sid
+        return None
+    matched = [sid for sid, st in sorted(candidates, key=_candidate_sid)
                if correlates(message, cfun, st)]
     if not matched:
         return None
@@ -216,7 +229,8 @@ class CorrelationIndex:
             slots.append((bound, self._unbound[var]))
         if not slots:
             return None
-        slots.sort(key=lambda slot: len(slot[0]) + len(slot[1]))
+        if len(slots) > 1:
+            slots.sort(key=lambda slot: len(slot[0]) + len(slot[1]))
         bound, unbound = slots[0]
         out = set(bound) | unbound
         for bound, unbound in slots[1:]:

@@ -37,6 +37,7 @@ import itertools
 import threading
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from . import frames
@@ -245,14 +246,6 @@ Connector = Callable[[Location], object]
 Binder = Callable[[Location, Callable, Callable], object]
 
 
-def _frame_of(line: bytes) -> Frame | None:
-    """The frame a line carries, or None when it does not decode."""
-    try:
-        return frames.decode_frame(line)
-    except DecodeError:
-        return None
-
-
 def bound_location(location: Location, listener) -> Location:
     """Where ``listener``, bound at ``location``, answers: a socket bound to
     port 0 answers at the port the system picked."""
@@ -270,19 +263,22 @@ class Connection:
     each answer it reads to its waiter, until its own arrives; a call that
     no caller blocks on (``send_request`` with ``on_result``) gets a reader
     thread, which reads while any call waits.  So a lone caller's answer
-    wakes no thread but the caller.  One more thread per connection sleeps
-    until the peer hangs up, then reads what is left, so the channel
-    closes at EOF even while no call waits.  Every answer goes through
-    ``_on_line``, the one response rule.
+    wakes no thread but the caller, and its call takes two rounds of the
+    connection's lock: one as it sends, one as its answer is taken, in
+    which it also stops reading.  A thread is notified only when one waits.
+    One more thread per connection sleeps until the peer hangs up, then
+    reads what is left, so the channel closes at EOF even while no call
+    waits.  Every answer goes through ``_on_line``, the one response rule.
     """
 
     def __init__(self, channel, loop: Loop | None = None):
         self.channel = channel
         self._ids = itertools.count(1)
         self._lock = threading.Lock()
-        # notified when an answer is handed over, when the channel is free
-        # to read, and when the connection dies
+        # notified, when a thread sleeps on it, as an answer is handed over,
+        # as the channel is free to read, and as the connection dies
         self._turn = threading.Condition(self._lock)
+        self._sleepers = 0  # threads waiting on _turn
         self._waiters: dict[str, Callable[[CallResult], None]] = {}
         self._reading = loop is not None  # a thread is reading the channel
         self._callers = 0  # threads blocked in ``call``, each ready to read
@@ -300,38 +296,21 @@ class Connection:
         resource: str = "",
         on_result: Callable[[CallResult], None] | None = None,
     ) -> str:
-        with self._lock:
-            if self.dead:
-                raise Fault(IO_FAULT, "connection closed")
-            frame_id = str(next(self._ids))
-            # before the send: the answer may arrive before send returns
-            if on_result is not None:
-                self._waiters[frame_id] = on_result
-        try:
-            self.channel.send(frames.encode_frame(frames.request_frame(frame_id, operation, payload, resource)))
-        except OSError as e:
-            with self._lock:
-                self._waiters.pop(frame_id, None)
-            raise Fault(IO_FAULT, str(e)) from e
-        if on_result is not None:
-            self._start_reader()
+        """Send one request and return its frame id; ``on_result`` gets its
+        answer (None: nobody waits for one)."""
+        frame_id, claimed = self._send(operation, payload, resource, on_result, False)
+        if claimed:
+            self._spawn_reader()
         return frame_id
 
     def call(self, operation: str, payload: State, resource: str = "",
              timeout: float | None = 10.0) -> CallResult:
         """One blocking call; see ``sync_request``."""
         slot: list[CallResult] = []
-        with self._lock:
-            self._callers += 1
-        try:
-            frame_id = self.send_request(operation, payload, resource, slot.append)
-            if not self._read_until(slot, None if timeout is None else max(timeout, 0)):
-                self.forget(frame_id)
-                raise Fault(IO_FAULT, f"no response to {operation!r} within {timeout}s")
-        finally:
-            with self._lock:
-                self._callers -= 1
-            self._start_reader()  # for the calls left that no caller reads for
+        frame_id, reads = self._send(operation, payload, resource, slot.append, True)
+        deadline = None if timeout is None else time.monotonic() + max(timeout, 0)
+        if not self._await(frame_id, slot, reads, deadline):
+            raise Fault(IO_FAULT, f"no response to {operation!r} within {timeout}s")
         return slot[0]
 
     def forget(self, frame_id: str) -> None:
@@ -339,64 +318,128 @@ class Connection:
         with self._lock:
             self._waiters.pop(frame_id, None)
 
-    def _read_until(self, slot: list, timeout: float | None) -> bool:
-        """Wait until ``slot`` fills, reading the channel whenever no other
-        thread does; False when ``timeout`` passes first."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
+    def _send(self, operation: str, payload: State, resource: str,
+              on_result: Callable[[CallResult], None] | None, caller: bool) -> tuple[str, bool]:
+        """Send a request in one round of the lock, registering ``on_result``
+        before the bytes fly, as the answer may come before ``send`` returns.
+        Returns the frame id and whether the read of the channel was claimed:
+        for a blocked ``caller`` itself, else for a reader thread to start."""
+        frame_id = str(next(self._ids))
+        line = frames.encode_frame(frames.request_frame(frame_id, operation, payload, resource))
+        claimed = False
+        with self._lock:
+            if self.dead:
+                raise Fault(IO_FAULT, "connection closed")
+            if on_result is not None:
+                self._waiters[frame_id] = on_result
+                if caller:
+                    self._callers += 1
+                claimed = not self._reading and (caller or not self._callers)
+                if claimed:
+                    self._reading = True
+        try:
+            self.channel.send(line)
+        except OSError as e:
             with self._lock:
-                while self._reading and not slot:
-                    left = None if deadline is None else deadline - time.monotonic()
-                    if left is not None and left <= 0:
-                        return False
-                    self._turn.wait(left)
-                if slot:
-                    return True
-                self._reading = True
-            try:
-                left = None if deadline is None else deadline - time.monotonic()
-                if left is not None and left <= 0 or not self._read_line(left):
-                    return bool(slot)
-            except TimeoutError:
-                return False
-            finally:
-                with self._lock:
-                    self._reading = False
-                    self._turn.notify_all()
+                spawn = self._leave_locked(frame_id, caller, claimed)
+            if spawn:
+                self._spawn_reader()
+            raise Fault(IO_FAULT, str(e)) from e
+        return frame_id, claimed
+
+    def _await(self, frame_id: str, slot: list, reads: bool, deadline: float | None) -> bool:
+        """Wait until ``slot`` holds the answer to ``frame_id``, reading the
+        channel while this thread holds the read (``reads``) and sleeping
+        while another does; False when ``deadline`` passes first."""
+        while True:
+            if reads:
+                try:
+                    while not slot:
+                        left = None if deadline is None else deadline - time.monotonic()
+                        if left is not None and left <= 0:
+                            break
+                        line = self._recv(left)
+                        if line is None:
+                            break  # the connection is closed: every waiter has its fault
+                        if self._on_line(line, frame_id):
+                            return True  # answered and gone, in the lock round that took it
+                except TimeoutError:
+                    pass
+            with self._lock:
+                if not slot and not reads:
+                    self._sleepers += 1
+                    try:
+                        # a dead connection hands every waiter its fault soon
+                        while not slot and (self._reading or self.dead):
+                            left = None if deadline is None else deadline - time.monotonic()
+                            if left is not None and left <= 0:
+                                break
+                            self._turn.wait(left)
+                    finally:
+                        self._sleepers -= 1
+                    if not slot and not self._reading and not self.dead and (
+                            deadline is None or deadline > time.monotonic()):
+                        self._reading = reads = True  # the read is free: take it
+                        continue
+                spawn = self._leave_locked(frame_id, True, reads)
+            if spawn:
+                self._spawn_reader()
+            return bool(slot)
+
+    def _leave_locked(self, frame_id: str, caller: bool, reads: bool) -> bool:
+        """Under the lock: nobody waits for ``frame_id`` any more; its blocked
+        ``caller``, if it has one, goes, and the thread that ``reads`` for it
+        stops reading.  True when the calls left need a reader thread, which
+        this claims the read for."""
+        self._waiters.pop(frame_id, None)
+        self._callers -= caller
+        if reads:
+            self._reading = False
+            self._wake_sleepers_locked()
+        if self._reading or self._callers or self.dead or not self._waiters:
+            return False
+        self._reading = True
+        return True
+
+    def _wake_sleepers_locked(self) -> None:
+        if self._sleepers:
+            self._turn.notify_all()
+
+    def _spawn_reader(self) -> None:
+        threading.Thread(target=self._read_for_waiters, daemon=True,
+                         name=f"reader-{self.channel.name}").start()
 
     def _read_at_hangup(self, wait_hangup: Callable[[], None]) -> None:
         """Once the peer hangs up, read what is left up to EOF."""
         wait_hangup()
         with self._lock:
-            while self._reading:
-                self._turn.wait()
+            self._sleepers += 1
+            try:
+                while self._reading and not self.dead:
+                    self._turn.wait()
+            finally:
+                self._sleepers -= 1
             self._reading = True
-        while self._read_line(None):
-            pass
-
-    def _start_reader(self) -> None:
-        """Start a reader thread when calls wait that no thread reads for."""
-        with self._lock:
-            if self._reading or self._callers or self.dead or not self._waiters:
-                return
-            self._reading = True
-        threading.Thread(target=self._read_for_waiters, daemon=True,
-                         name=f"reader-{self.channel.name}").start()
+        while (line := self._recv(None)) is not None:
+            self._on_line(line)
 
     def _read_for_waiters(self) -> None:
-        """The reader thread: read while any call waits."""
+        """The reader thread, which holds the read: read while any call waits."""
         while True:
             with self._lock:
                 if self.dead or not self._waiters:
                     self._reading = False
-                    self._turn.notify_all()
+                    self._wake_sleepers_locked()
                     return
-            if not self._read_line(None):
+            line = self._recv(None)
+            if line is None:
                 return
+            self._on_line(line)
 
-    def _read_line(self, timeout: float | None) -> bool:
-        """Read one line and hand it over; False once the channel has
-        ended.  Raises ``TimeoutError`` when none comes within ``timeout``."""
+    def _recv(self, timeout: float | None) -> bytes | None:
+        """Read one line; None once the channel has ended, which closes the
+        connection.  Raises ``TimeoutError`` when none comes within
+        ``timeout``."""
         try:
             line = self.channel.recv_line(timeout)
         except TimeoutError:  # an OSError, but the channel lives on
@@ -405,28 +448,41 @@ class Connection:
             line = None
         if line is None:
             self._on_end(False)
-            return False
-        self._on_line(line)
-        return True
+        return line
 
-    def _on_line(self, line: bytes) -> None:
+    def _on_line(self, line: bytes, mine: str | None = None) -> bool:
+        """Hand the answer ``line`` carries to its waiter: the one response
+        rule.  ``mine`` is the frame id of the blocked caller that read the
+        line; it goes in the lock round that takes its own answer, and then
+        this returns True."""
         # blank lines, undecodable lines and requests (which never belong
         # on an outbound connection) are dropped
         if not line.strip():
-            return
-        frame = _frame_of(line)
-        if frame is None or frame.type == frames.REQUEST:
-            return
+            return False
+        try:
+            frame = frames.decode_frame(line)
+        except DecodeError:
+            return False
+        if frame.type == frames.REQUEST:
+            return False
+        frame_id = frame.id
         with self._lock:
-            waiter = self._waiters.pop(frame.id, None)
-        if waiter is None:
-            return
+            waiter = self._waiters.pop(frame_id, None)
+            if waiter is None:
+                return False
+            own = frame_id == mine
+            spawn = own and self._leave_locked(frame_id, True, True)
         if frame.type == frames.RESPONSE:
             waiter(CallResult(payload=frame.payload))
         else:
             waiter(CallResult(fault=frame.fault))
+        if own:
+            if spawn:
+                self._spawn_reader()
+            return True
         with self._lock:
-            self._turn.notify_all()
+            self._wake_sleepers_locked()
+        return False
 
     def _on_end(self, overflow: bool) -> None:
         self.close()
@@ -439,7 +495,7 @@ class Connection:
         for w in waiters:
             w(CallResult(fault=IO_FAULT))
         with self._lock:
-            self._turn.notify_all()
+            self._wake_sleepers_locked()
 
     def close(self) -> None:
         """Close the channel; every call still waiting gets ``IOFault``."""
@@ -545,7 +601,7 @@ class ReplyHandle:
         self.channel = channel
 
     def send_response(self, frame_id: str, operation: str, payload: State) -> None:
-        self._send(frames.response_frame(frame_id, operation, payload))
+        self._send(Frame(frame_id, frames.RESPONSE, operation, "", payload))
 
     def send_fault(self, frame_id: str, operation: str, fault_name: str) -> None:
         self._send(frames.fault_frame(frame_id, operation, fault_name))
@@ -588,13 +644,16 @@ class FrameEndpoint:
                 return
             self._channels.add(channel)
             handle = ReplyHandle(channel)
-            channel.attach(self._loop, lambda line: self._serve_line(handle, line),
-                           lambda overflow: self._end(handle, overflow))
+            channel.attach(self._loop, partial(self._serve_line, handle),
+                           partial(self._end, handle))
 
     def _serve_line(self, handle: ReplyHandle, line: bytes) -> None:
         if not line.strip():
             return
-        frame = _frame_of(line)
+        try:
+            frame = frames.decode_frame(line)
+        except DecodeError:
+            frame = None
         if frame is None or frame.type != frames.REQUEST:
             handle.send_fault(frames.salvage_request_id(line), "", PROTOCOL_FAULT)
         else:
@@ -630,7 +689,7 @@ class InputPortListener:
 
     def handle_request(self, frame: Frame, handle: ReplyHandle) -> None:
         """Serve one request frame; its answer, if any, goes to ``handle``."""
-        decl = self.port.interface.get(frame.operation)
+        decl = self.port.interface.operations.get(frame.operation)
         if decl is None:
             handle.send_fault(frame.id, frame.operation, UNKNOWN_OPERATION)
             return

@@ -25,9 +25,9 @@ container's channels, and an engine built without one on a loop of its
 own, which ``stop()`` closes.  The engine's lock is that loop's lock.
 Between polls the loop calls ``run_ready``, which, under that lock,
 repeatedly picks one ready (session, strand) pair with a seeded
-generator, steps it and does its bookkeeping (the session is touched,
-and ended if the step ended it), so a fixed seed fixes every scheduling
-choice.  A step that raises an error other than a fault ends only its
+generator, steps it and does its bookkeeping (the session's ready pairs
+are recomputed, or it is ended if the step ended it; the watchdog is
+touched once per round), so a fixed seed fixes every scheduling choice.  A step that raises an error other than a fault ends only its
 own session, as ``fault(IOFault)``.  A host thread that submits a
 message or reads a session takes the same lock, so it waits for the
 loop's current round; only the loop steps an engine, and nothing but
@@ -72,6 +72,7 @@ import time
 import traceback
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict, deque
+from itertools import repeat
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -151,10 +152,15 @@ class Session(SessionContext):
         meanwhile, and the routing index stays in step with ``local``."""
         old = self.local
         self.local = new = old.bind(bindings)
-        self._engine._index.update(self.sid, old, new)
+        engine = self._engine
+        if not engine._cset.isdisjoint(bindings):
+            engine._index.update(self.sid, old, new)
 
     def has_message(self, op: str) -> bool:
-        return any(m.operation == op for m in self.mailbox)
+        for m in self.mailbox:
+            if m.operation == op:
+                return True
+        return False
 
     def take_message(self, op: str):
         box = self.mailbox
@@ -165,7 +171,8 @@ class Session(SessionContext):
         return None
 
     def note_request(self, msg: Message) -> None:
-        if self._engine._interface.kind_of(msg.operation) != REQUEST_RESPONSE:
+        decl = self._engine._interface.operations.get(msg.operation)
+        if decl is None or decl.kind != REQUEST_RESPONSE:
             return
         if msg.operation in self.pending_replies:
             raise Fault(PROTOCOL_FAULT, f"second receive on {msg.operation!r} before its reply")
@@ -177,7 +184,7 @@ class Session(SessionContext):
         pending = self.pending_replies.pop(op, None)
         if pending is None:
             raise Fault(PROTOCOL_FAULT, f"reply on {op!r} with no pending request")
-        decl = self._engine._interface.get(op)
+        decl = self._engine._interface.operations.get(op)
         if decl is not None and decl.response is not None:
             decl.response.check(payload, f"reply {op}")
         handle, request_id = pending
@@ -241,11 +248,14 @@ class Engine:
         self._owns_loop = loop is None
         self._loop = Loop(name=f"engine-{name}") if loop is None else loop
         self._lock = self._loop.lock
-        # notified when a session ends and when the watchdog reports
+        # notified, when a host thread waits on it, as the engine starts,
+        # as a session ends and as the watchdog reports
         self._cond = threading.Condition(self._lock)
+        self._host_waits = 0  # threads waiting on _cond
         self._sessions: dict[int, Session] = {}  # live sessions, in sid order
         self._finished: OrderedDict[int, tuple[Completion, State]] = OrderedDict()
-        self._index = CorrelationIndex(self._correlation.cset)
+        self._cset = self._correlation.cset
+        self._index = CorrelationIndex(self._cset)
         # Every ready (sid, strand) pair of the started sessions, by sid and
         # then spawn order; _dirty holds the sids whose pairs may be stale.
         self._ready: list[tuple[int, Strand]] = []
@@ -262,7 +272,7 @@ class Engine:
         self.deadlock_reports: list[dict] = []
         self._deadlock_flagged = False
         self._last_activity = time.monotonic()
-        self._started = threading.Event()
+        self._started = False
         self._stop_requested = False
         self.final_report: dict[int, Completion] | None = None
 
@@ -273,7 +283,7 @@ class Engine:
         sequential mode started) before the loop can take a step or a
         message, as if no message had come first."""
         with self._lock:
-            if self._started.is_set():
+            if self._started:
                 raise StartupError("engine already started")
             self._emit("engine_started", mode=self.mode)
             if self._behaviour.firing:
@@ -281,7 +291,9 @@ class Engine:
                 if not session.started:
                     self._start_session_locked(session)
             self._loop.add_worker(self.run_ready)
-            self._started.set()
+            self._started = True
+            if self._host_waits:
+                self._cond.notify_all()
         return self
 
     def stop(self) -> dict[int, Completion]:
@@ -292,7 +304,7 @@ class Engine:
         which keeps the loop from stepping this engine meanwhile and, taken
         on the loop itself, waits for nothing."""
         with self._lock:
-            if self._started.is_set():
+            if self._started:
                 self._loop.remove_worker(self.run_ready)
                 self._stop_requested = True
                 self._terminate_all_sessions()
@@ -317,28 +329,31 @@ class Engine:
         A message may beat the engine's own start by a moment when
         listeners come up first; wait out that window instead of failing.
         """
-        started = self._started
-        if not started.is_set() and not started.wait(timeout=5.0):
+        if not self._started and not self._host_wait(lambda: self._started, 5.0):
             raise StartupError("engine not started")
         if self._stop_requested:
             return RoutingOutcome("rejected", fault=IO_FAULT)
-        kind = self._interface.kind_of(m.operation)
-        if kind not in INPUT_KINDS:
-            self._emit("message_rejected", op=m.operation, fault=UNKNOWN_OPERATION)
-            return RoutingOutcome("rejected", fault=UNKNOWN_OPERATION)
+        decl = self._interface.operations.get(m.operation)
         cfun = self._correlation.function_for(m.operation)
         with self._lock:
+            if decl is None or decl.kind not in INPUT_KINDS:
+                self._emit("message_rejected", op=m.operation, fault=UNKNOWN_OPERATION)
+                return RoutingOutcome("rejected", fault=UNKNOWN_OPERATION)
             self._touch_locked()
             sids = self._index.candidates(m, cfun)
             sessions = self._sessions
-            candidates = ([(sid, s.local) for sid, s in sessions.items()] if sids is None
-                          else [(sid, sessions[sid].local) for sid in sids])
+            if sids is None:
+                candidates = [(sid, s.local) for sid, s in sessions.items()]
+            else:
+                candidates = [(sid, sessions[sid].local) for sid in sids] if sids else []
             target = select_session(m, candidates, self._correlation, self._rng.getrandbits(32))
             if target is not None:
                 session = sessions[target]
                 old = session.local
-                session.local = bind_correlation(m, cfun, old)
-                self._index.update(target, old, session.local)
+                new = bind_correlation(m, cfun, old)
+                if new is not old:
+                    session.local = new
+                    self._index.update(target, old, new)
                 session.mailbox.append(m)
                 self._dirty.add(target)
                 outcome = RoutingOutcome("delivered" if session.started else "queued", target)
@@ -374,38 +389,51 @@ class Engine:
         """On the loop, under its lock: take up to ``budget`` steps, each
         picked, taken and booked in turn.  Returns 0 when steps are left,
         else how long until the watchdog is due (None: only a new event can
-        give this engine work)."""
-        rng = self._rng
-        while not self._stop_requested:
-            pairs = self._ready_pairs_locked()
-            if not pairs:
-                return self._check_deadlock_locked()
-            if budget <= 0:
-                return 0.0
-            budget -= 1
+        give this engine work).
+
+        A step changes the ready pairs of its own session only, so only
+        those are recomputed after it; the sessions another event marked
+        (a finish, a start) go through ``_ready_pairs_locked``.  The
+        watchdog is touched once, after the round's last step."""
+        if self._stop_requested:
+            return None
+        rng, sessions, dirty = self._rng, self._sessions, self._dirty
+        pairs = self._ready_pairs_locked()
+        steps = 0
+        while pairs and steps < budget and not self._stop_requested:
+            steps += 1
             sid, strand = pairs[rng.randrange(len(pairs))]
-            session = self._sessions[sid]
+            session = sessions[sid]
             if self.log_steps:
                 self._emit("step", session=sid, strand=strand.sid)
-            completion = self._step(session, strand)
-            self._touch_locked()
-            self._dirty.add(sid)
-            if completion is not None:
+            runner = session.runner
+            try:
+                runner.step(strand)
+            except Exception as e:
+                completion = self._step_failed(session, e)
+            else:
+                completion = runner.completion
+            if completion is None:
+                lo = bisect_left(pairs, sid, key=_pair_sid)
+                pairs[lo:bisect_right(pairs, sid, lo, key=_pair_sid)] = zip(
+                    repeat(sid), runner.ready())
+            else:
                 self._finish_session_locked(session, completion)
-        return None
+            if dirty:
+                pairs = self._ready_pairs_locked()
+        if steps:
+            self._touch_locked()
+        if self._stop_requested:
+            return None
+        return 0.0 if pairs else self._check_deadlock_locked()
 
-    def _step(self, session: Session, strand: Strand) -> Completion | None:
-        """Step ``strand`` of ``session``: the session's completion once the
-        step has ended it.  An error that is not a fault is recorded with
-        its traceback and ends only this session, as ``fault(IOFault)``, so
-        the others keep running."""
-        try:
-            session.runner.step(strand)
-        except Exception as e:
-            self._emit("step_failed", session=session.sid, error=repr(e),
-                       traceback=traceback.format_exc())
-            return _STEP_FAILED
-        return session.runner.completion
+    def _step_failed(self, session: Session, error: Exception) -> Completion:
+        """A step of ``session`` raised an error that is not a fault: record
+        it with its traceback and end only this session, as
+        ``fault(IOFault)``, so the others keep running."""
+        self._emit("step_failed", session=session.sid, error=repr(error),
+                   traceback=traceback.format_exc())
+        return _STEP_FAILED
 
     def _ready_pairs_locked(self) -> list[tuple[int, Strand]]:
         """Every ready (session, strand) pair of the started sessions, in
@@ -422,7 +450,7 @@ class Engine:
             session = self._sessions.get(sid)
             strands = session.runner.ready() if session is not None and session.started else []
             lo = bisect_left(pairs, sid, key=_pair_sid)
-            pairs[lo:bisect_right(pairs, sid, lo, key=_pair_sid)] = [(sid, s) for s in strands]
+            pairs[lo:bisect_right(pairs, sid, lo, key=_pair_sid)] = zip(repeat(sid), strands)
         self._dirty.clear()
         return pairs
 
@@ -457,7 +485,8 @@ class Engine:
         self._finished[sid] = (completion, session.local)
         if len(self._finished) > FINISHED_KEPT:
             self._finished.popitem(last=False)
-        self._cond.notify_all()
+        if self._host_waits:
+            self._cond.notify_all()
 
     def _terminate_all_sessions(self) -> None:
         sessions = list(self._sessions.values())
@@ -474,7 +503,12 @@ class Engine:
                 ready = session.runner.ready()
                 completion = session.runner.completion
                 if ready and budget > 0:
-                    completion = self._step(session, ready[0])
+                    try:
+                        session.runner.step(ready[0])
+                    except Exception as e:
+                        completion = self._step_failed(session, e)
+                    else:
+                        completion = session.runner.completion
                     stepped = True
                     budget -= 1
                 if completion is not None:
@@ -512,7 +546,8 @@ class Engine:
         }
         self.deadlock_reports.append(report)
         self._emit("deadlock", detail_sessions=report["sessions"])
-        self._cond.notify_all()
+        if self._host_waits:
+            self._cond.notify_all()
         return None
 
     def _touch_locked(self) -> None:
@@ -560,9 +595,9 @@ class Engine:
         self._loop.wake()
 
     def _emit(self, event: str, session: int | None = None, **detail) -> None:
-        with self._lock:
-            self._event_sink({"ts": time.time(), "session": session, "event": event,
-                              "detail": detail})
+        """Hand one record to the sink; every caller holds the loop's lock."""
+        self._event_sink({"ts": time.time(), "session": session, "event": event,
+                          "detail": detail})
 
     # Observation -------------------------------------------------------------
 
@@ -588,11 +623,20 @@ class Engine:
         wait gives up the loop's lock, every level the caller holds, so the
         loop steps on meanwhile; on the loop itself it would wait for
         nothing but its own timeout."""
-        with self._cond:
-            return self._cond.wait_for(lambda: not self._sessions, timeout)
+        return self._host_wait(lambda: not self._sessions, timeout)
 
     def wait_deadlock(self, timeout: float = 5.0) -> bool:
         """Block until the watchdog reports; a host call, as
         ``wait_all_finished`` is."""
+        return self._host_wait(lambda: bool(self.deadlock_reports), timeout)
+
+    def _host_wait(self, predicate, timeout: float) -> bool:
+        """Wait on the engine's condition until ``predicate`` holds; False
+        when ``timeout`` passes first.  The engine counts such waits itself,
+        so that the loop notifies only when one is under way."""
         with self._cond:
-            return self._cond.wait_for(lambda: bool(self.deadlock_reports), timeout)
+            self._host_waits += 1
+            try:
+                return self._cond.wait_for(predicate, timeout)
+            finally:
+                self._host_waits -= 1

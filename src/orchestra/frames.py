@@ -11,10 +11,12 @@ is what lets several calls share one channel.
 from __future__ import annotations
 
 import json
+import math
+from json.encoder import encode_basestring
 from typing import NamedTuple
 
 from . import state
-from .errors import DecodeError, EncodeError
+from .errors import DecodeError, EncodeError, ValidationError
 from .state import EMPTY, State
 
 REQUEST = "request"
@@ -25,15 +27,21 @@ _TYPES = (REQUEST, RESPONSE, FAULT)
 _KEYS = frozenset({"id", "type", "operation", "resource", "payload", "fault"})
 _REQUIRED = frozenset({"id", "type", "operation", "resource", "payload"})
 
-# One encoder and one decoder for every frame; ``json.dumps`` with these
-# settings would build a new encoder per call.
-_ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False, allow_nan=False)
+# The escaper ``json.JSONEncoder`` uses for strings when
+# ``ensure_ascii=False``, and the reprs it writes numbers with: a frame
+# written from the template below is byte for byte what that encoder,
+# with ``separators=(",", ":")`` and ``allow_nan=False``, writes.
+_quote = encode_basestring
+_int_text = int.__repr__
+_float_text = float.__repr__
+_isfinite = math.isfinite
 _DECODER = json.JSONDecoder()
 _JSON_SPACE = " \t\n\r"
 
-# What reading a line that is not JSON raises: bad UTF-8, bad syntax, or
-# nesting deeper than the parser's recursion allows.
-_NOT_JSON = (UnicodeDecodeError, json.JSONDecodeError, RecursionError)
+# What reading a line that is not JSON raises: bad UTF-8 and bad syntax
+# (both ValueErrors), an integer too long for ``int`` to read (a plain
+# ValueError), or nesting deeper than the parser's recursion allows.
+_NOT_JSON = (ValueError, RecursionError)
 
 
 class Frame(NamedTuple):
@@ -58,33 +66,49 @@ def fault_frame(id: str, operation: str, fault: str, payload: State = EMPTY) -> 
 
 
 def encode_frame(f: Frame) -> bytes:
-    """Bit-exact encoding: fixed key order, no whitespace, one trailing LF."""
-    if f.type not in _TYPES:
-        raise EncodeError(f"unknown frame type {f.type!r}")
-    if f.type == FAULT and not f.fault:
-        raise EncodeError("fault frame without a fault name")
-    if f.type != FAULT and f.fault:
-        raise EncodeError(f"{f.type} frame must not carry a fault name")
+    """Bit-exact encoding: fixed key order, no whitespace, one trailing LF.
+    The payload's keys are sorted, its doubles keep their fraction marker,
+    and a lone surrogate or a double that is not finite is ``EncodeError``."""
+    ftype = f.type
+    if ftype not in _TYPES:
+        raise EncodeError(f"unknown frame type {ftype!r}")
+    if ftype == FAULT:
+        if not f.fault:
+            raise EncodeError("fault frame without a fault name")
+    elif f.fault:
+        raise EncodeError(f"{ftype} frame must not carry a fault name")
     for label, value in (("id", f.id), ("operation", f.operation), ("resource", f.resource)):
         if not isinstance(value, str):
             raise EncodeError(f"frame {label} must be a string")
-    obj: dict = {
-        "id": f.id,
-        "type": f.type,
-        "operation": f.operation,
-        "resource": f.resource,
-        "payload": state.to_json_obj(f.payload),
-    }
-    if f.type == FAULT:
-        obj["fault"] = f.fault
     try:
-        return _ENCODER.encode(obj).encode("utf-8") + b"\n"
-    except (TypeError, ValueError) as e:  # UnicodeEncodeError is a ValueError
+        fields = []
+        for name, v in sorted(f.payload.items()):
+            t = type(v)
+            if t is str:
+                text = _quote(v)
+            elif t is int:
+                text = _int_text(v)
+            elif t is float:
+                if not _isfinite(v):
+                    raise EncodeError(f"double is not finite: {v!r}")
+                text = _float_text(v)
+            elif t is bool:
+                text = "true" if v else "false"
+            else:
+                raise EncodeError(f"not a value: {v!r} ({t.__name__})")
+            fields.append(f"{_quote(name)}:{text}")
+        tail = f',"fault":{_quote(f.fault)}}}\n' if ftype == FAULT else "}\n"
+        text = (f'{{"id":{_quote(f.id)},"type":"{ftype}","operation":{_quote(f.operation)},'
+                f'"resource":{_quote(f.resource)},"payload":{{{",".join(fields)}}}{tail}')
+        return text.encode()
+    except (TypeError, UnicodeEncodeError) as e:  # a name that is no string, a lone surrogate
         raise EncodeError(str(e)) from e
 
 
 def decode_frame(line: bytes) -> Frame:
-    """Inverse of encode for valid frames; unknown keys or types rejected."""
+    """Inverse of encode for valid frames; unknown keys or types rejected.
+    One pass checks the frame's strings and its payload's names and values,
+    by the rule ``State(...)`` applies."""
     try:
         # what json.loads accepts: one JSON text between JSON whitespace
         text = line.decode("utf-8").strip(_JSON_SPACE)
@@ -93,7 +117,7 @@ def decode_frame(line: bytes) -> Frame:
         raise DecodeError(f"not a JSON frame: {e}") from e
     if end != len(text):
         raise DecodeError(f"not a JSON frame: extra data at offset {end}")
-    if not isinstance(obj, dict):
+    if type(obj) is not dict:
         raise DecodeError("frame is not a JSON object")
     keys = obj.keys()
     if not keys <= _KEYS:
@@ -103,9 +127,9 @@ def decode_frame(line: bytes) -> Frame:
     ftype = obj["type"]
     if ftype not in _TYPES:
         raise DecodeError(f"unknown frame type {ftype!r}")
-    for key in ("id", "operation", "resource"):
-        value = obj[key]
-        if type(value) is not str or not state.is_text(value):
+    frame_id, operation, resource = obj["id"], obj["operation"], obj["resource"]
+    for key, value in (("id", frame_id), ("operation", operation), ("resource", resource)):
+        if type(value) is not str or not (value.isascii() or state.is_text(value)):
             raise DecodeError(f"frame {key} must be a UTF-8 string")
     if ftype == FAULT:
         fault = obj.get("fault")
@@ -113,12 +137,16 @@ def decode_frame(line: bytes) -> Frame:
             raise DecodeError("fault frame needs a non-empty UTF-8 fault name")
     elif "fault" in obj:
         raise DecodeError(f"{ftype} frame must not carry a fault key")
+    else:
+        fault = ""
+    payload = obj["payload"]
+    if type(payload) is not dict:
+        raise DecodeError(f"bad frame payload: not a JSON object but {type(payload).__name__}")
     try:
-        payload = state.from_json_obj(obj["payload"])
-    except Exception as e:
+        payload = State(payload)
+    except ValidationError as e:
         raise DecodeError(f"bad frame payload: {e}") from e
-    return Frame(obj["id"], ftype, obj["operation"], obj["resource"], payload,
-                 obj.get("fault", ""))
+    return Frame(frame_id, ftype, operation, resource, payload, fault)
 
 
 def salvage_request_id(line: bytes) -> str:

@@ -307,10 +307,9 @@ class SessionRunner:
 
     def __init__(self, root: Activity, ctx: SessionContext):
         self.ctx = ctx
-        self._strands: list[Strand] = []
-        self._next_sid = 0
+        self._strands: list[Strand] = [Strand(0, _interp(root, ctx), None)]
+        self._next_sid = 1
         self.completion: Completion | None = None
-        self._spawn(_interp(root, ctx), None)
 
     def _spawn(self, gen, parent_join: _Join | None) -> Strand:
         strand = Strand(self._next_sid, gen, parent_join)

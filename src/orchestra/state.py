@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from typing import Any, Iterator
 
 from .errors import EncodeError, ValidationError
@@ -33,8 +32,7 @@ Value = str | int | float | bool
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_name_match = _NAME_RE.fullmatch
+_isfinite = math.isfinite
 
 
 class _Undefined:
@@ -58,11 +56,13 @@ UNDEFINED = _Undefined()
 
 
 def is_valid_var_name(name: Any) -> bool:
-    return isinstance(name, str) and _name_match(name) is not None
+    """Whether ``name`` follows the rule ``[A-Za-z_][A-Za-z0-9_]*``: for an
+    ASCII string, exactly what ``str.isidentifier`` accepts."""
+    return isinstance(name, str) and name.isascii() and name.isidentifier()
 
 
 def check_var_name(name: Any) -> str:
-    if not (isinstance(name, str) and _name_match(name)):
+    if not (isinstance(name, str) and name.isascii() and name.isidentifier()):
         raise ValidationError(f"invalid variable name: {name!r}")
     return name
 
@@ -93,16 +93,17 @@ def is_text(s: str) -> bool:
 
 
 def check_value(v: Any) -> Value:
-    """Validate a raw Python object as a storable value."""
+    """Validate a raw Python object as a storable value.  ``State(...)``
+    applies the same rule inline, one binding at a time."""
     t = type(v)
     if t is str:
-        if not is_text(v):
+        if not (v.isascii() or is_text(v)):
             raise ValidationError(f"string does not encode as UTF-8: {v!r}")
     elif t is int:
         if not (INT64_MIN <= v <= INT64_MAX):
             raise ValidationError(f"integer out of 64-bit range: {v}")
     elif t is float:
-        if not math.isfinite(v):
+        if not _isfinite(v):
             raise ValidationError(f"double is not finite: {v}")
     elif t is not bool:
         raise ValidationError(f"not a value: {v!r} ({t.__name__})")
@@ -127,9 +128,25 @@ class State:
         elif _trusted:
             self._bindings = bindings
         else:
+            # check_var_name and check_value, inline: this runs for every
+            # decoded frame and every state a host builds
             checked = {}
-            for name, value in bindings.items():
-                checked[check_var_name(name)] = check_value(value)
+            for name, v in bindings.items():
+                if not (type(name) is str and name.isascii() and name.isidentifier()):
+                    check_var_name(name)  # raises
+                t = type(v)
+                if t is str:
+                    if not (v.isascii() or is_text(v)):
+                        check_value(v)
+                elif t is int:
+                    if not (INT64_MIN <= v <= INT64_MAX):
+                        check_value(v)
+                elif t is float:
+                    if not _isfinite(v):
+                        check_value(v)
+                elif t is not bool:
+                    check_value(v)
+                checked[name] = v
             self._bindings = checked
 
     def lookup(self, name: str) -> Value | _Undefined:

@@ -353,6 +353,43 @@ def test_a_lone_blocking_caller_reads_its_own_answers():
         server_end.close()
 
 
+class _CountingLock:
+    """A lock that counts the ``with`` rounds taken on it."""
+
+    def __init__(self, lock):
+        self._lock = lock
+        self.rounds = 0
+
+    def __enter__(self):
+        self.rounds += 1
+        return self._lock.__enter__()
+
+    def __exit__(self, *exc):
+        return self._lock.__exit__(*exc)
+
+
+def test_a_lone_callers_call_takes_two_lock_rounds_and_wakes_nobody(monkeypatch):
+    """One round of the connection's lock as the request goes, one as its
+    answer is taken; and no thread is notified, as none waits."""
+    client_end, server_end = memory_pair("rounds")
+    conn = Connection(client_end)
+    for i in range(1, 4):  # the answers are there before the calls
+        _answer(server_end, frames.request_frame(str(i), "echo"), State({"i": i}))
+    counting = conn._lock = _CountingLock(conn._lock)
+    notified = []
+    monkeypatch.setattr(conn._turn, "notify_all", lambda: notified.append(1))
+    monkeypatch.setattr(conn._turn, "notify", lambda n=1: notified.append(n))
+    try:
+        for i in range(1, 4):
+            assert sync_request(conn, "echo", EMPTY, timeout=5.0).payload == State({"i": i})
+        assert counting.rounds == 2 * 3
+        assert notified == []
+    finally:
+        monkeypatch.undo()
+        conn.close()
+        server_end.close()
+
+
 def test_an_answer_left_when_a_blocking_caller_returns_still_arrives():
     """A call no caller blocks on, sent while one reads, gets a reader
     thread once that caller has its answer and goes."""

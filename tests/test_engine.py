@@ -11,7 +11,7 @@ from collections import Counter
 
 import pytest
 
-from orchestra import correlation, state
+from orchestra import correlation, frames, state
 from orchestra.behaviour import parse_behaviour
 from orchestra.correlation import CorrelationConfig, CorrelationFunction, Message
 from orchestra.deployment import Interface, MessageType, OperationDecl
@@ -618,7 +618,7 @@ def test_a_receive_binds_its_fields_in_one_locked_update_without_checks(monkeypa
     monkeypatch.setattr(Session, "bind", bind)
     payload = State({"a": 1, "b": 2.0, "c": "x", "d": True})
     checks = Counter()
-    for name in ("_name_match", "check_var_name", "check_value"):
+    for name in ("check_var_name", "check_value"):
         original = getattr(state, name)
         monkeypatch.setattr(state, name, lambda *a, _n=name, _f=original: (
             checks.update([_n]), _f(*a))[1])
@@ -631,6 +631,59 @@ def test_a_receive_binds_its_fields_in_one_locked_update_without_checks(monkeypa
     assert binds == [(["m_a", "m_b", "m_c", "m_d"], True)]
     assert not checks
     assert e.session_view(1)[2] == State({"m_a": 1, "m_b": 2.0, "m_c": "x", "m_d": True})
+
+
+def test_routing_a_decoded_message_checks_no_value_again(monkeypatch):
+    """The decoder checked every name and value of a message's payload, so
+    routing binds its correlation variables in one unchecked
+    ``State.bind``: into a live session that has not bound them yet, and
+    into a new session."""
+    doc = {"root": {"receive": {"op": "post", "into": "p"}}, "firing": True,
+           "initiators": ["post"]}
+    e = Engine(behaviour=parse_behaviour(doc), interface=iface(post="OneWay"),
+               correlation=corr(post={"token": "sid", "n": "n"}), watchdog_grace=3600.0)
+
+    def decoded(token: str) -> Message:
+        line = frames.encode_frame(frames.request_frame(
+            "1", "post", State({"token": token, "n": 2**63 - 1, "x": -0.0, "s": "\u00e9"})))
+        return Message("post", frames.decode_frame(line).payload)
+
+    def refuse(*args):
+        raise AssertionError(f"checked again: {args!r}")
+
+    first, second = decoded("a"), decoded("b")
+    binds = []
+    real_bind = State.bind
+    monkeypatch.setattr(State, "bind", lambda s, b: (binds.append(dict(b)), real_bind(s, b))[1])
+    monkeypatch.setattr(state, "check_value", refuse)
+    monkeypatch.setattr(state, "check_var_name", refuse)
+    try:
+        with e._loop.lock:  # hold the steps off: the firing session stays unbound
+            e.start()
+            assert e.submit(first) == ("delivered", 1, None)
+            assert e.submit(second).kind == "created"
+            routing_binds = list(binds)
+    finally:
+        e.stop()
+    assert routing_binds == [{"n": 2**63 - 1, "sid": "a"}, {"n": 2**63 - 1, "sid": "b"}]
+
+
+def test_a_session_end_wakes_a_host_only_when_one_waits(engines, monkeypatch):
+    """The engine notifies its condition only while a host thread waits on
+    it: sessions that end while nobody waits notify nobody."""
+    doc = {"root": {"receive": {"op": "go", "into": "m"}}, "initiators": ["go"]}
+    e = engines(behaviour=parse_behaviour(doc), interface=iface(go="OneWay"),
+                correlation=corr(go={"k": "k"}))
+    notified = []
+    monkeypatch.setattr(e._cond, "notify_all", lambda: notified.append(1))
+    monkeypatch.setattr(e._cond, "notify", lambda n=1: notified.append(n))
+    for k in range(3):
+        assert e.submit(Message("go", State({"k": k}))).kind == "created"
+    deadline = time.monotonic() + 5.0
+    while e.live_session_count() and time.monotonic() < deadline:
+        time.sleep(0.001)
+    assert e.live_session_count() == 0
+    assert notified == []
 
 
 def test_every_pick_draws_one_randrange(engines, monkeypatch):

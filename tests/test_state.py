@@ -1,6 +1,7 @@
 """State algebra: composition, equality, lookup, update, JSON form."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -65,6 +66,34 @@ def test_var_name_grammar():
         State({"": 1})
     with pytest.raises(ValidationError):
         EMPTY.update("a.b", 1)
+
+
+# The documented rule, written out independently of the code under test.
+_NAME_RULE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# Letters and digits ``str.isidentifier`` accepts that the rule does not.
+_IDENTIFIER_NOT_NAME = ["é", "ℌ", "ª", "a١", "_é", "xℌ", "ªb", "v1é"]
+
+
+@given(st.one_of(st.text(max_size=6), st.from_regex(r"[A-Za-z_][A-Za-z0-9_]*", fullmatch=True),
+                 st.sampled_from(_IDENTIFIER_NOT_NAME + ["١", "a\n", "\na", "if", "_", "a b"])))
+def test_var_names_follow_the_documented_rule(name):
+    ok = _NAME_RULE.fullmatch(name) is not None
+    assert state.is_valid_var_name(name) is ok
+    if ok:
+        assert state.check_var_name(name) == name
+        assert State({name: 1}).lookup(name) == 1
+        assert EMPTY.update(name, 1).lookup(name) == 1
+        return
+    for make in (state.check_var_name, lambda n: State({n: 1}), lambda n: EMPTY.update(n, 1)):
+        with pytest.raises(ValidationError):
+            make(name)
+
+
+@pytest.mark.parametrize("name", _IDENTIFIER_NOT_NAME)
+def test_an_identifier_that_breaks_the_rule_is_no_name(name):
+    assert name.isidentifier()
+    with pytest.raises(ValidationError):
+        State({name: 1})
 
 
 def test_int64_bounds():
