@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from operator import itemgetter
-from typing import Any, NamedTuple, Sequence
+from typing import Any, Iterable, NamedTuple
 
 from .errors import ValidationError
 from .state import EMPTY, State, UNDEFINED, Value, check_var_name, values_equal
@@ -142,12 +141,9 @@ def bind_correlation(message: Message, cfun: CorrelationFunction, s: State) -> S
     return s.bind(fresh) if fresh else s
 
 
-_candidate_sid = itemgetter(0)
-
-
 def select_session(
     message: Message,
-    candidates: Sequence[tuple[Any, State]],
+    candidates: Iterable[tuple[Any, State]],
     config: CorrelationConfig,
     seed: int,
 ) -> Any | None:
@@ -156,21 +152,15 @@ def select_session(
     Candidates are (session id, state) pairs.  All matching candidates are
     equally eligible; ties are broken pseudo-randomly from the seed over
     the matches sorted by session id, so a fixed seed picks the same
-    session every time.  With at most one candidate there is nothing to
-    sort and nothing to draw.
+    session every time.  A lone match is neither sorted nor drawn for.
     """
     cfun = config.functions.get(message.operation, _EMPTY_FUNCTION)
-    if len(candidates) <= 1:
-        for sid, st in candidates:
-            if correlates(message, cfun, st):
-                return sid
-        return None
-    matched = [sid for sid, st in sorted(candidates, key=_candidate_sid)
-               if correlates(message, cfun, st)]
+    matched = [sid for sid, st in candidates if correlates(message, cfun, st)]
     if not matched:
         return None
     if len(matched) == 1:
         return matched[0]
+    matched.sort()
     return matched[random.Random(seed).randrange(len(matched))]
 
 
@@ -229,8 +219,7 @@ class CorrelationIndex:
             slots.append((bound, self._unbound[var]))
         if not slots:
             return None
-        if len(slots) > 1:
-            slots.sort(key=lambda slot: len(slot[0]) + len(slot[1]))
+        slots.sort(key=lambda slot: len(slot[0]) + len(slot[1]))
         bound, unbound = slots[0]
         out = set(bound) | unbound
         for bound, unbound in slots[1:]:

@@ -263,9 +263,10 @@ class Connection:
     each answer it reads to its waiter, until its own arrives; a call that
     no caller blocks on (``send_request`` with ``on_result``) gets a reader
     thread, which reads while any call waits.  So a lone caller's answer
-    wakes no thread but the caller, and its call takes two rounds of the
-    connection's lock: one as it sends, one as its answer is taken, in
-    which it also stops reading.  A thread is notified only when one waits.
+    wakes no thread but the caller, and its call takes three rounds of the
+    connection's lock: one as it blocks and claims the read, one as it
+    sends, one as its answer is taken, in which it also stops reading.  A
+    thread is notified only when one waits.
     One more thread per connection sleeps until the peer hangs up, then
     reads what is left, so the channel closes at EOF even while no call
     waits.  Every answer goes through ``_on_line``, the one response rule.
@@ -297,8 +298,29 @@ class Connection:
         on_result: Callable[[CallResult], None] | None = None,
     ) -> str:
         """Send one request and return its frame id; ``on_result`` gets its
-        answer (None: nobody waits for one)."""
-        frame_id, claimed = self._send(operation, payload, resource, on_result, False)
+        answer (None: nobody waits for one).  One round of the lock
+        registers ``on_result`` before the bytes fly, as the answer may come
+        before ``send`` returns, and claims the read of the channel for a
+        reader thread when no thread reads and no caller blocks."""
+        frame_id = str(next(self._ids))
+        line = frames.encode_frame(frames.request_frame(frame_id, operation, payload, resource))
+        claimed = False
+        with self._lock:
+            if self.dead:
+                raise Fault(IO_FAULT, "connection closed")
+            if on_result is not None:
+                self._waiters[frame_id] = on_result
+                claimed = not self._reading and not self._callers
+                if claimed:
+                    self._reading = True
+        try:
+            self.channel.send(line)
+        except OSError as e:
+            with self._lock:
+                spawn = self._leave_locked(frame_id, False, claimed)
+            if spawn:
+                self._spawn_reader()
+            raise Fault(IO_FAULT, str(e)) from e
         if claimed:
             self._spawn_reader()
         return frame_id
@@ -307,7 +329,19 @@ class Connection:
              timeout: float | None = 10.0) -> CallResult:
         """One blocking call; see ``sync_request``."""
         slot: list[CallResult] = []
-        frame_id, reads = self._send(operation, payload, resource, slot.append, True)
+        with self._lock:
+            # this thread blocks: it reads the channel itself if none does
+            self._callers += 1
+            reads = not self._reading
+            self._reading = True
+        try:
+            frame_id = self.send_request(operation, payload, resource, slot.append)
+        except Fault:
+            with self._lock:
+                spawn = self._leave_locked(None, True, reads)
+            if spawn:
+                self._spawn_reader()
+            raise
         deadline = None if timeout is None else time.monotonic() + max(timeout, 0)
         if not self._await(frame_id, slot, reads, deadline):
             raise Fault(IO_FAULT, f"no response to {operation!r} within {timeout}s")
@@ -317,35 +351,6 @@ class Connection:
         """Stop waiting for the answer to ``frame_id``; a late one is dropped."""
         with self._lock:
             self._waiters.pop(frame_id, None)
-
-    def _send(self, operation: str, payload: State, resource: str,
-              on_result: Callable[[CallResult], None] | None, caller: bool) -> tuple[str, bool]:
-        """Send a request in one round of the lock, registering ``on_result``
-        before the bytes fly, as the answer may come before ``send`` returns.
-        Returns the frame id and whether the read of the channel was claimed:
-        for a blocked ``caller`` itself, else for a reader thread to start."""
-        frame_id = str(next(self._ids))
-        line = frames.encode_frame(frames.request_frame(frame_id, operation, payload, resource))
-        claimed = False
-        with self._lock:
-            if self.dead:
-                raise Fault(IO_FAULT, "connection closed")
-            if on_result is not None:
-                self._waiters[frame_id] = on_result
-                if caller:
-                    self._callers += 1
-                claimed = not self._reading and (caller or not self._callers)
-                if claimed:
-                    self._reading = True
-        try:
-            self.channel.send(line)
-        except OSError as e:
-            with self._lock:
-                spawn = self._leave_locked(frame_id, caller, claimed)
-            if spawn:
-                self._spawn_reader()
-            raise Fault(IO_FAULT, str(e)) from e
-        return frame_id, claimed
 
     def _await(self, frame_id: str, slot: list, reads: bool, deadline: float | None) -> bool:
         """Wait until ``slot`` holds the answer to ``frame_id``, reading the
@@ -386,10 +391,10 @@ class Connection:
                 self._spawn_reader()
             return bool(slot)
 
-    def _leave_locked(self, frame_id: str, caller: bool, reads: bool) -> bool:
-        """Under the lock: nobody waits for ``frame_id`` any more; its blocked
-        ``caller``, if it has one, goes, and the thread that ``reads`` for it
-        stops reading.  True when the calls left need a reader thread, which
+    def _leave_locked(self, frame_id: str | None, caller: bool, reads: bool) -> bool:
+        """Under the lock: nobody waits for ``frame_id`` (if any) any more;
+        its blocked ``caller``, if it has one, goes, and the thread that
+        ``reads`` for it stops reading.  True when the calls left need a reader thread, which
         this claims the read for."""
         self._waiters.pop(frame_id, None)
         self._callers -= caller

@@ -345,7 +345,7 @@ class Engine:
             if sids is None:
                 candidates = [(sid, s.local) for sid, s in sessions.items()]
             else:
-                candidates = [(sid, sessions[sid].local) for sid in sids] if sids else []
+                candidates = [(sid, sessions[sid].local) for sid in sids]
             target = select_session(m, candidates, self._correlation, self._rng.getrandbits(32))
             if target is not None:
                 session = sessions[target]

@@ -107,8 +107,8 @@ def encode_frame(f: Frame) -> bytes:
 
 def decode_frame(line: bytes) -> Frame:
     """Inverse of encode for valid frames; unknown keys or types rejected.
-    One pass checks the frame's strings and its payload's names and values,
-    by the rule ``State(...)`` applies."""
+    One pass checks the frame's strings and, by ``State(...)``, its
+    payload's names and values."""
     try:
         # what json.loads accepts: one JSON text between JSON whitespace
         text = line.decode("utf-8").strip(_JSON_SPACE)
@@ -129,7 +129,7 @@ def decode_frame(line: bytes) -> Frame:
         raise DecodeError(f"unknown frame type {ftype!r}")
     frame_id, operation, resource = obj["id"], obj["operation"], obj["resource"]
     for key, value in (("id", frame_id), ("operation", operation), ("resource", resource)):
-        if type(value) is not str or not (value.isascii() or state.is_text(value)):
+        if type(value) is not str or not state.is_text(value):
             raise DecodeError(f"frame {key} must be a UTF-8 string")
     if ftype == FAULT:
         fault = obj.get("fault")

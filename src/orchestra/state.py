@@ -32,9 +32,6 @@ Value = str | int | float | bool
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
 
-_isfinite = math.isfinite
-
-
 class _Undefined:
     """Singleton lookup result for unbound variables."""
 
@@ -57,12 +54,13 @@ UNDEFINED = _Undefined()
 
 def is_valid_var_name(name: Any) -> bool:
     """Whether ``name`` follows the rule ``[A-Za-z_][A-Za-z0-9_]*``: for an
-    ASCII string, exactly what ``str.isidentifier`` accepts."""
+    ASCII string, exactly what ``str.isidentifier`` accepts.  The one place
+    the name rule is written."""
     return isinstance(name, str) and name.isascii() and name.isidentifier()
 
 
 def check_var_name(name: Any) -> str:
-    if not (isinstance(name, str) and name.isascii() and name.isidentifier()):
+    if not is_valid_var_name(name):
         raise ValidationError(f"invalid variable name: {name!r}")
     return name
 
@@ -92,21 +90,35 @@ def is_text(s: str) -> bool:
     return True
 
 
+def check_bindings(bindings: dict) -> dict[str, Value]:
+    """A copy of ``bindings`` once every name follows the name rule and
+    every value is storable: a string that encodes as UTF-8, a signed
+    64-bit integer, a finite double or a boolean.  The one place the value
+    rule is written; ``State(...)`` applies it to every binding."""
+    checked = {}
+    for name, v in bindings.items():
+        if not is_valid_var_name(name):
+            raise ValidationError(f"invalid variable name: {name!r}")
+        t = type(v)
+        if t is str:
+            if not is_text(v):
+                raise ValidationError(f"string does not encode as UTF-8: {v!r}")
+        elif t is int:
+            if not (INT64_MIN <= v <= INT64_MAX):
+                raise ValidationError(f"integer out of 64-bit range: {v}")
+        elif t is float:
+            if not math.isfinite(v):
+                raise ValidationError(f"double is not finite: {v}")
+        elif t is not bool:
+            raise ValidationError(f"not a value: {v!r} ({t.__name__})")
+        checked[name] = v
+    return checked
+
+
 def check_value(v: Any) -> Value:
-    """Validate a raw Python object as a storable value.  ``State(...)``
-    applies the same rule inline, one binding at a time."""
-    t = type(v)
-    if t is str:
-        if not (v.isascii() or is_text(v)):
-            raise ValidationError(f"string does not encode as UTF-8: {v!r}")
-    elif t is int:
-        if not (INT64_MIN <= v <= INT64_MAX):
-            raise ValidationError(f"integer out of 64-bit range: {v}")
-    elif t is float:
-        if not _isfinite(v):
-            raise ValidationError(f"double is not finite: {v}")
-    elif t is not bool:
-        raise ValidationError(f"not a value: {v!r} ({t.__name__})")
+    """Validate a raw Python object as a storable value, by the rule of
+    ``check_bindings``."""
+    check_bindings({"v": v})
     return v
 
 
@@ -128,26 +140,7 @@ class State:
         elif _trusted:
             self._bindings = bindings
         else:
-            # check_var_name and check_value, inline: this runs for every
-            # decoded frame and every state a host builds
-            checked = {}
-            for name, v in bindings.items():
-                if not (type(name) is str and name.isascii() and name.isidentifier()):
-                    check_var_name(name)  # raises
-                t = type(v)
-                if t is str:
-                    if not (v.isascii() or is_text(v)):
-                        check_value(v)
-                elif t is int:
-                    if not (INT64_MIN <= v <= INT64_MAX):
-                        check_value(v)
-                elif t is float:
-                    if not _isfinite(v):
-                        check_value(v)
-                elif t is not bool:
-                    check_value(v)
-                checked[name] = v
-            self._bindings = checked
+            self._bindings = check_bindings(bindings)
 
     def lookup(self, name: str) -> Value | _Undefined:
         """The bound value, or UNDEFINED when the variable is not bound."""

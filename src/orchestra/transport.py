@@ -100,8 +100,10 @@ def stop_tracing() -> list[tuple[str, str, bytes]]:
 
 
 def _trace(channel_name: str, direction: str, data: bytes) -> None:
-    """Record a line; callers skip the call while ``_trace_sink`` is None,
-    which costs a send nothing while nobody traces."""
+    """Record a line while tracing is on; while it is off, the lock is not
+    even taken."""
+    if _trace_sink is None:
+        return
     with _trace_lock:
         if _trace_sink is not None:
             _trace_sink.append((channel_name, direction, data))
@@ -203,8 +205,7 @@ class _Channel:
                 return self._parser.flush() or None
             self._lines.extend(self._parser.feed(chunk))
         line = self._lines.popleft()
-        if _trace_sink is not None:
-            _trace(self.name, "in", line[:-1])
+        _trace(self.name, "in", line[:-1])
         return line
 
     def attach(self, loop: "Loop", on_line: Callable[[bytes], None],
@@ -218,8 +219,7 @@ class _Channel:
         """On the loop: hand each whole line in ``chunk`` to ``on_line``."""
         parser = self._parser
         for line in parser.feed(chunk):
-            if _trace_sink is not None:
-                _trace(self.name, "in", line[:-1])
+            _trace(self.name, "in", line[:-1])
             self._on_line(line)
             if self._closed:
                 return
@@ -252,8 +252,7 @@ class SocketChannel(_Channel):
     def send(self, data: bytes) -> None:
         # trace before the bytes fly: the peer's answer must never be able
         # to enter the trace ahead of the request that caused it
-        if _trace_sink is not None:
-            _trace(self.name, "out", data)
+        _trace(self.name, "out", data)
         with self._send_lock:
             if self._loop is None:
                 self._sock.sendall(data)
@@ -372,8 +371,7 @@ class MemoryChannel(_Channel):
         peer = self.peer
         if peer is None:
             raise BrokenPipeError("channel has no peer")
-        if _trace_sink is not None:
-            _trace(self.name, "out", data)
+        _trace(self.name, "out", data)
         if self._closed or peer._closed:
             raise BrokenPipeError("channel closed")
         peer._put(data)

@@ -368,9 +368,10 @@ class _CountingLock:
         return self._lock.__exit__(*exc)
 
 
-def test_a_lone_callers_call_takes_two_lock_rounds_and_wakes_nobody(monkeypatch):
-    """One round of the connection's lock as the request goes, one as its
-    answer is taken; and no thread is notified, as none waits."""
+def test_a_lone_callers_call_takes_three_lock_rounds_and_wakes_nobody(monkeypatch):
+    """One round of the connection's lock as the caller blocks, one as the
+    request goes, through ``send_request``, one as its answer is taken; and
+    no thread is notified, as none waits."""
     client_end, server_end = memory_pair("rounds")
     conn = Connection(client_end)
     for i in range(1, 4):  # the answers are there before the calls
@@ -379,11 +380,16 @@ def test_a_lone_callers_call_takes_two_lock_rounds_and_wakes_nobody(monkeypatch)
     notified = []
     monkeypatch.setattr(conn._turn, "notify_all", lambda: notified.append(1))
     monkeypatch.setattr(conn._turn, "notify", lambda n=1: notified.append(n))
+    sent = []
+    real_send_request = Connection.send_request
+    monkeypatch.setattr(Connection, "send_request", lambda self, *a: (
+        sent.append(a[0]), real_send_request(self, *a))[1])
     try:
         for i in range(1, 4):
             assert sync_request(conn, "echo", EMPTY, timeout=5.0).payload == State({"i": i})
-        assert counting.rounds == 2 * 3
+        assert counting.rounds == 3 * 3
         assert notified == []
+        assert sent == ["echo"] * 3
     finally:
         monkeypatch.undo()
         conn.close()

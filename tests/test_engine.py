@@ -601,6 +601,21 @@ def test_a_reply_that_cannot_be_encoded_is_still_owed(engines):
     assert handle.answers == [("1", "IOFault")]  # the session's end answered it
 
 
+def _record_checked_states(monkeypatch) -> list[dict]:
+    """From now on, record the bindings of every state built with checks:
+    by ``State(...)`` from a mapping, not by a trusted bind."""
+    built = []
+    real_init = State.__init__
+
+    def init(self, bindings=None, *, _trusted=False):
+        if bindings is not None and not _trusted:
+            built.append(dict(bindings))
+        real_init(self, bindings, _trusted=_trusted)
+
+    monkeypatch.setattr(State, "__init__", init)
+    return built
+
+
 def test_a_receive_binds_its_fields_in_one_locked_update_without_checks(monkeypatch):
     """The four fields of a delivered message land in one update, made by
     the loop's thread while it holds the loop's lock, and nothing checks a
@@ -618,18 +633,21 @@ def test_a_receive_binds_its_fields_in_one_locked_update_without_checks(monkeypa
     monkeypatch.setattr(Session, "bind", bind)
     payload = State({"a": 1, "b": 2.0, "c": "x", "d": True})
     checks = Counter()
-    for name in ("check_var_name", "check_value"):
+    for name in ("check_var_name", "check_value", "check_bindings"):
         original = getattr(state, name)
         monkeypatch.setattr(state, name, lambda *a, _n=name, _f=original: (
             checks.update([_n]), _f(*a))[1])
+    checked_states = _record_checked_states(monkeypatch)
     e.start()
     try:
         assert e.submit(Message("data", payload)).kind == "delivered"
         assert e.wait_all_finished(5.0)
     finally:
         e.stop()
+    monkeypatch.undo()
     assert binds == [(["m_a", "m_b", "m_c", "m_d"], True)]
     assert not checks
+    assert checked_states == []
     assert e.session_view(1)[2] == State({"m_a": 1, "m_b": 2.0, "m_c": "x", "m_d": True})
 
 
@@ -655,17 +673,20 @@ def test_routing_a_decoded_message_checks_no_value_again(monkeypatch):
     binds = []
     real_bind = State.bind
     monkeypatch.setattr(State, "bind", lambda s, b: (binds.append(dict(b)), real_bind(s, b))[1])
-    monkeypatch.setattr(state, "check_value", refuse)
-    monkeypatch.setattr(state, "check_var_name", refuse)
+    for name in ("check_value", "check_var_name", "check_bindings"):
+        monkeypatch.setattr(state, name, refuse)
+    checked_states = _record_checked_states(monkeypatch)
     try:
         with e._loop.lock:  # hold the steps off: the firing session stays unbound
             e.start()
             assert e.submit(first) == ("delivered", 1, None)
             assert e.submit(second).kind == "created"
             routing_binds = list(binds)
+            routing_checked = list(checked_states)
     finally:
         e.stop()
     assert routing_binds == [{"n": 2**63 - 1, "sid": "a"}, {"n": 2**63 - 1, "sid": "b"}]
+    assert routing_checked == []
 
 
 def test_a_session_end_wakes_a_host_only_when_one_waits(engines, monkeypatch):
