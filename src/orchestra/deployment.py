@@ -336,7 +336,7 @@ class Connection:
             self._reading = True
         try:
             frame_id = self.send_request(operation, payload, resource, slot.append)
-        except Fault:
+        except BaseException:  # a Fault, or an EncodeError before anything was sent
             with self._lock:
                 spawn = self._leave_locked(None, True, reads)
             if spawn:
@@ -372,16 +372,12 @@ class Connection:
                     pass
             with self._lock:
                 if not slot and not reads:
-                    self._sleepers += 1
-                    try:
-                        # a dead connection hands every waiter its fault soon
-                        while not slot and (self._reading or self.dead):
-                            left = None if deadline is None else deadline - time.monotonic()
-                            if left is not None and left <= 0:
-                                break
-                            self._turn.wait(left)
-                    finally:
-                        self._sleepers -= 1
+                    # a dead connection hands every waiter its fault soon
+                    while not slot and (self._reading or self.dead):
+                        left = None if deadline is None else deadline - time.monotonic()
+                        if left is not None and left <= 0:
+                            break
+                        self._sleep_locked(left)
                     if not slot and not self._reading and not self.dead and (
                             deadline is None or deadline > time.monotonic()):
                         self._reading = reads = True  # the read is free: take it
@@ -394,8 +390,8 @@ class Connection:
     def _leave_locked(self, frame_id: str | None, caller: bool, reads: bool) -> bool:
         """Under the lock: nobody waits for ``frame_id`` (if any) any more;
         its blocked ``caller``, if it has one, goes, and the thread that
-        ``reads`` for it stops reading.  True when the calls left need a reader thread, which
-        this claims the read for."""
+        ``reads`` for it stops reading.  True when the calls left need a
+        reader thread, which this claims the read for."""
         self._waiters.pop(frame_id, None)
         self._callers -= caller
         if reads:
@@ -405,6 +401,16 @@ class Connection:
             return False
         self._reading = True
         return True
+
+    def _sleep_locked(self, timeout: float | None) -> None:
+        """Under the lock: wait on ``_turn`` once.  Every wait on it goes
+        through here, counted, so that a wake-up is sent only while a
+        thread sleeps."""
+        self._sleepers += 1
+        try:
+            self._turn.wait(timeout)
+        finally:
+            self._sleepers -= 1
 
     def _wake_sleepers_locked(self) -> None:
         if self._sleepers:
@@ -418,12 +424,8 @@ class Connection:
         """Once the peer hangs up, read what is left up to EOF."""
         wait_hangup()
         with self._lock:
-            self._sleepers += 1
-            try:
-                while self._reading and not self.dead:
-                    self._turn.wait()
-            finally:
-                self._sleepers -= 1
+            while self._reading and not self.dead:
+                self._sleep_locked(None)
             self._reading = True
         while (line := self._recv(None)) is not None:
             self._on_line(line)

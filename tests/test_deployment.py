@@ -17,7 +17,7 @@ from orchestra.deployment import (
     sync_request,
 )
 from orchestra.engine import Engine
-from orchestra.errors import Fault, ValidationError
+from orchestra.errors import EncodeError, Fault, ValidationError
 from orchestra.state import EMPTY, State
 from orchestra.transport import (
     LocalRegistry, Loop, SocketChannel, TcpListener, connect_socket, memory_pair,
@@ -392,6 +392,23 @@ def test_a_lone_callers_call_takes_three_lock_rounds_and_wakes_nobody(monkeypatc
         assert sent == ["echo"] * 3
     finally:
         monkeypatch.undo()
+        conn.close()
+        server_end.close()
+
+
+def test_a_call_that_cannot_be_encoded_leaves_the_connection_usable():
+    """A payload that cannot be encoded fails its call before anything is
+    sent, and gives back the read the call claimed: the next call reads
+    its own answer."""
+    client_end, server_end = memory_pair("unencodable")
+    conn = Connection(client_end)
+    _answer(server_end, frames.request_frame("2", "echo"), State({"ok": True}))
+    try:
+        with pytest.raises(EncodeError):
+            sync_request(conn, "echo", State({"x": float("nan")}, _trusted=True), timeout=5.0)
+        assert sync_request(conn, "echo", EMPTY, timeout=5.0).payload == State({"ok": True})
+        assert (conn._callers, conn._reading, conn._waiters) == (0, False, {})
+    finally:
         conn.close()
         server_end.close()
 
